@@ -4,8 +4,7 @@ Painleve reduction, closing conditions, and symmetry checks.
 Exit codes: 0 ok, 2 schema error, 3 numeric failure, 4 validation threshold
 exceeded.  Errors are emitted as one-line JSON on stdout.  CSV floats are
 written with 17 significant digits in scientific notation so outputs are
-byte-stable across runs and worker counts (see README for the frozen column
-order).  LAGDPW_THREADS caps the grid workers.
+byte-stable across runs (see README for the frozen column order).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dpw, geometry, painleve, periodicity, potentials
-from .errors import LagdpwError, SchemaError
+from .errors import LagdpwError, NoNodeSolved, SchemaError
 
 VALIDATE_THRESHOLDS = {
     "horizontality": 1e-5,
@@ -143,6 +142,10 @@ def _cmd_build(args) -> int:
     if not formats <= {"csv", "json", "obj"}:
         raise SchemaError("format", f"expected a subset of csv,json,obj, got {args.fmt!r}")
     samples, field, failures = dpw.grid_sample(spec, grid, lambdas, trunc, tol)
+    if failures and not field.points:
+        z, exc = failures[0]
+        raise NoNodeSolved(f"all {len(failures)} grid nodes failed; first at "
+                           f"z = {z}: {type(exc).__name__}: {exc}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -208,12 +211,8 @@ def _cmd_painleve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["s,h,h_dot,residual"]
-    for s, h, hd in zip(sol.s_samples, sol.h, sol.h_dot):
-        ds = 1e-4 * s
-        hdd = (sol.dense(np.array([s + ds]))[1][0]
-               - sol.dense(np.array([s - ds]))[1][0]) / (2 * ds)
-        res = abs(hdd - painleve.piii_rhs(s, h, hd, params))
-        rows.append(",".join(_fmt(v) for v in (s, h, hd, res)))
+    rows += [",".join(_fmt(v) for v in row)
+             for row in zip(sol.s_samples, sol.h, sol.h_dot, sol.residual)]
     (out / "painleve.csv").write_text("\n".join(rows) + "\n")
     print(json.dumps({"status": "ok", "samples": len(sol.s_samples),
                       "max_residual": sol.max_residual,

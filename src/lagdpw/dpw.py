@@ -23,8 +23,6 @@ nu = -i lambda_0^{-3}, not psi itself (cf. geometry.hopf_coefficient).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,7 @@ from . import su3
 from .errors import PoleOnPath, SchemaError, TruncationOverflow
 from .factorization import IwasawaFactors, iwasawa
 from .loops import LoopMatrix, loop_exp, loop_scale
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, is_finite_number
 
 DEFAULT_TRUNC = 16
 DEFAULT_TOL = 1e-10
@@ -154,13 +152,6 @@ def frame_point(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
                       tail=c.tail_norm(trunc))
 
 
-def extended_frame(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
-                   tol: float = DEFAULT_TOL):
-    """(extended frame, V_+) at z: the Iwasawa split of the holomorphic frame."""
-    fp = frame_point(spec, z, trunc, tol)
-    return fp.frame, fp.v_plus
-
-
 @dataclass(frozen=True)
 class SurfaceSample:
     z: complex
@@ -233,65 +224,46 @@ class GridSpec:
             raise SchemaError("grid", "expected an object with 'kind'")
         kind = doc["kind"]
         if kind == "polar":
-            allowed = {"kind", "r_max", "n_r", "n_theta", "r_min"}
+            allowed = {"r_max", "n_r", "n_theta", "r_min"}
         elif kind == "cartesian":
-            allowed = {"kind", "extent", "nx", "ny"}
+            allowed = {"extent", "nx", "ny"}
         else:
             raise SchemaError("grid.kind", "expected 'polar' or 'cartesian'")
-        for key in doc:
+        for key, value in doc.items():
+            if key == "kind":
+                continue
             if key not in allowed:
                 raise SchemaError(f"grid.{key}", "unknown field")
-        counts = [doc.get(c, 1) for c in ("n_r", "n_theta", "nx", "ny")]
-        if any(not isinstance(c, int) or c < 1 for c in counts):
-            raise SchemaError("grid", "counts must be integers >= 1")
+            count = key in ("n_r", "n_theta", "nx", "ny")
+            if not (is_finite_number(value) and value > 0
+                    and (isinstance(value, int) or not count)):
+                raise SchemaError(f"grid.{key}", "expected a positive integer" if count
+                                  else "expected a finite positive number")
         return GridSpec(**doc)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("LAGDPW_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
-                trunc: int = DEFAULT_TRUNC, tol: float = DEFAULT_TOL,
-                workers: int | None = None):
+                trunc: int = DEFAULT_TRUNC, tol: float = DEFAULT_TOL):
     """Samples for every grid node and lambda_0, plus the frame field.
 
-    Nodes are distributed across LAGDPW_THREADS workers; assembly is a
-    deterministic index-ordered reduction, so output is independent of the
-    worker count.  Per-node errors are collected, not fatal.  ``grid`` may
-    be a GridSpec or any iterable of complex nodes.
+    Nodes are solved in order, so the output is the same on every run.
+    Per-node errors are collected, not fatal.  ``grid`` may be a GridSpec
+    or any iterable of complex nodes.
     """
     nodes = grid.nodes() if hasattr(grid, "nodes") else \
         np.asarray(list(grid), dtype=complex)
     lams = [_normalize_lambda0(l) for l in lambdas]
-    n_workers = _worker_count() if workers is None else max(1, workers)
-
-    def solve(z):
-        try:
-            return frame_point(spec, z, trunc, tol)
-        except Exception as exc:  # noqa: BLE001 - per-node failures are data
-            return exc
-
-    if n_workers > 1 and len(nodes) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            points = list(pool.map(solve, nodes))
-    else:
-        points = [solve(z) for z in nodes]
-
     samples = []
     good_points = []
     failures = []
-    for z, fp in zip(nodes, points):
-        if isinstance(fp, Exception):
-            failures.append((complex(z), fp))
+    for z in nodes:
+        try:
+            fp = frame_point(spec, z, trunc, tol)
+        except Exception as exc:  # noqa: BLE001 - per-node failures are data
+            failures.append((complex(z), exc))
             continue
         good_points.append(fp)
-        for lam in lams:
-            samples.append(sample_from_frame(spec, fp, lam))
+        samples += [sample_from_frame(spec, fp, lam) for lam in lams]
     field = FrameField(points=tuple(good_points), potential=spec, trunc=trunc)
     return samples, field, failures
 
@@ -366,8 +338,9 @@ class PipelineSurface:
     def lift(self, z: complex) -> np.ndarray:
         return self.sample(z).lift
 
-    def frame_at(self, z: complex, lam: complex) -> np.ndarray:
-        return self.frame_point(z).frame.evaluate(lam)
+    def frame_at(self, z: complex, lams: np.ndarray) -> np.ndarray:
+        """The extended frame at z for each of lams, (n, 3, 3)."""
+        return self.frame_point(z).frame.evaluate_many(lams)
 
 
 class CliffordSurface:

@@ -33,6 +33,10 @@ class TruncationOverflow(LagdpwError):
     """Laurent coefficients at the truncation boundary grew too large."""
 
 
+class NoNodeSolved(LagdpwError):
+    """Every node of a grid failed, so a build has no samples."""
+
+
 class GridTooCoarse(LagdpwError):
     """Not enough nodes for the requested finite-difference stencil."""
 

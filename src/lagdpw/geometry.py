@@ -95,8 +95,9 @@ def structure_residuals(surface, nodes, h: float = 1e-3,
                         s1_samples: int = 12) -> ResidualReport:
     """Horizontality/conformality of the lift, unitarity/det of the frame.
 
-    ``surface`` provides .sample(z) (and .frame_at(z, lam) where frame checks
-    apply); residuals are maxima over the node list.
+    ``surface`` provides .sample(z) (and .frame_at(z, lams), the frame at an
+    array of lambdas, where frame checks apply); residuals are maxima over the
+    node list.
     """
     nodes = list(nodes)
     if len(nodes) < 5:
@@ -116,10 +117,9 @@ def structure_residuals(surface, nodes, h: float = 1e-3,
         eu = math.exp(s.u)
         conf = max(conf, abs(_DOT(fz, fz) - eu), abs(_DOT(fz, fzb)))
         if frame_at is not None:
-            for lam in lams:
-                fr = frame_at(z, lam)
-                unit = max(unit, su3.op_norm(np.conj(fr).T @ fr - su3.IDENTITY))
-                det = max(det, abs(np.linalg.det(fr) - 1.0))
+            fr = frame_at(z, lams)
+            unit = max(unit, float(np.max(su3.unitarity_defect(fr))))
+            det = max(det, float(np.max(np.abs(np.linalg.det(fr) - 1.0))))
     return ResidualReport(horizontality=horiz, conformality=conf,
                           unitarity=unit, determinant=det,
                           tzitzeica=math.nan, codazzi=math.nan, stencil_h=h)
@@ -242,10 +242,7 @@ def homogeneity_frame_residual(spec, t_values, z_values, p0: float = 1.0,
         t_mat = hd.T_at(t)
         t_inv = np.linalg.inv(t_mat)
         for z in z_values:
-            fp = surf.frame_point(z)
-            fpt = surf.frame_point(p * z)
-            for lam in lams:
-                lhs = fpt.frame.evaluate(q * lam)
-                rhs = t_mat @ fp.frame.evaluate(lam) @ t_inv
-                worst = max(worst, su3.op_norm(lhs - rhs))
+            lhs = surf.frame_point(p * z).frame.evaluate_many(q * lams)
+            rhs = t_mat @ surf.frame_point(z).frame.evaluate_many(lams) @ t_inv
+            worst = max(worst, float(np.max(su3.op_norm(lhs - rhs))))
     return worst

@@ -101,15 +101,13 @@ class LoopMatrix:
     # -- evaluation and norms ----------------------------------------------
 
     def evaluate(self, lam: complex) -> np.ndarray:
-        """g(lam) = sum_d lam^d G_d, Horner over the degree window."""
-        acc = np.zeros((3, 3), dtype=complex)
-        for c in self.coeffs[::-1]:
-            acc = acc * lam + c
-        return acc * lam ** self.min_degree
+        """g(lam) = sum_d lam^d G_d."""
+        return self.evaluate_many(np.array([lam]))[0]
 
     def evaluate_many(self, lams: np.ndarray) -> np.ndarray:
+        """g(lam) at each of lams, (n, 3, 3); Horner over the degree window."""
         pw = np.asarray(lams)[:, None, None]
-        acc = np.zeros((len(lams), 3, 3), dtype=complex)
+        acc = np.zeros((len(pw), 3, 3), dtype=complex)
         for c in self.coeffs[::-1]:
             acc = acc * pw + c
         return acc * pw ** self.min_degree
@@ -234,13 +232,11 @@ def loop_exp(x: LoopMatrix, trunc: int, guard: int = 8) -> LoopMatrix:
 def twist_residual(g: LoopMatrix, samples: int = DEFAULT_CIRCLE_SAMPLES) -> float:
     """max over sampled lambda of ||g(eps lambda) - sigma(g(lambda))||_2."""
     lams = su3.unit_circle(samples)
-    worst = 0.0
-    for lam in lams:
-        gl = g.evaluate(lam)
-        if np.linalg.cond(gl) > COND_LIMIT:
-            raise SingularLoop(f"g({lam}) not invertible")
-        worst = max(worst, su3.op_norm(g.evaluate(su3.EPS * lam) - su3.sigma_grp(gl)))
-    return worst
+    vals = g.evaluate_many(lams)
+    singular = np.linalg.cond(vals) > COND_LIMIT
+    if np.any(singular):
+        raise SingularLoop(f"g({lams[np.argmax(singular)]}) not invertible")
+    return float(np.max(su3.op_norm(g.evaluate_many(su3.EPS * lams) - su3.sigma_grp(vals))))
 
 
 def algebra_twist_residual(x: LoopMatrix) -> float:
@@ -253,12 +249,10 @@ def algebra_twist_residual(x: LoopMatrix) -> float:
 
 
 def unitarity_residual(g: LoopMatrix, samples: int = DEFAULT_CIRCLE_SAMPLES) -> float:
-    lams = su3.unit_circle(samples)
-    vals = g.evaluate_many(lams)
-    return float(max(su3.op_norm(np.conj(v).T @ v - su3.IDENTITY) for v in vals))
+    return float(np.max(su3.unitarity_defect(g.evaluate_many(su3.unit_circle(samples)))))
 
 
 def max_distance_on_circle(a: LoopMatrix, b: LoopMatrix,
                            samples: int = DEFAULT_CIRCLE_SAMPLES) -> float:
     lams = su3.unit_circle(samples)
-    return float(max(su3.op_norm(a.evaluate(l) - b.evaluate(l)) for l in lams))
+    return float(np.max(su3.op_norm(a.evaluate_many(lams) - b.evaluate_many(lams))))

@@ -101,10 +101,9 @@ def cocycle_residual(d_matrix: LoopMatrix, x: float, y: float,
     f_x = translational_frame(d_matrix, x, trunc)
     f_y = translational_frame(d_matrix, y, trunc)
     lams = su3.unit_circle(lambda_samples)
-    e3 = np.array([0, 0, 1.0], dtype=complex)
-    lift_xy = np.array([f_xy.evaluate(l) @ e3 for l in lams])
-    fx_vals = np.array([f_x.evaluate(l) for l in lams])
-    lift_y = np.array([f_y.evaluate(l) @ e3 for l in lams])
+    lift_xy = f_xy.evaluate_many(lams)[:, :, 2]  # F e_3 at each lambda
+    fx_vals = f_x.evaluate_many(lams)
+    lift_y = f_y.evaluate_many(lams)[:, :, 2]
 
     def defect(phi):
         k = np.diag([np.exp(1j * phi), np.exp(-1j * phi), 1.0])

@@ -148,9 +148,6 @@ class PotentialSpec:
             return self.d_matrix
         return LoopMatrix.monomial(-1, self.coefficient_matrix(z), twisted=True)
 
-    def eta_eval(self, z: complex, lam: complex) -> np.ndarray:
-        return self.eta_coefficients(z).evaluate(lam)
-
     @property
     def is_radial(self) -> bool:
         if self.kind in ("radial_monomial", "vacuum"):
@@ -203,7 +200,7 @@ def radial_monomial_spec(k: int, n: int, a_k: complex,
     if (b_n is None) == (psi0 is None):
         raise ValueError("give exactly one of b_n, psi0")
     if b_n is None:
-        b_n = -complex(psi0) / a_k ** 2
+        b_n = -complex(psi0) / a_k ** 2 if a_k != 0 else 0.0
     b_n = complex(b_n)
     if a_k == 0 or b_n == 0:
         raise ValueError("a_k and b_n must be nonzero (b = 0 is the totally "
@@ -338,10 +335,9 @@ def check_potential_symmetry(spec: PotentialSpec, p: complex, q: complex,
     for rad in z_ring:
         for ang in angles:
             z = rad * ang
-            for lam in lams:
-                lhs = p * spec.eta_eval(p * z, q * lam)
-                rhs = T @ spec.eta_eval(z, lam) @ t_inv
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            lhs = p * spec.eta_coefficients(p * z).evaluate_many(q * lams)
+            rhs = T @ spec.eta_coefficients(z).evaluate_many(lams) @ t_inv
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -382,12 +378,27 @@ _TOP_KEYS = {"kind", "a", "b", "k", "n", "a_k", "b_n", "psi0", "m", "d",
 _RUN_KEYS = ("trunc", "grid", "lambda", "tol")
 
 
+def is_finite_number(v) -> bool:
+    """A finite JSON number; bools are not numbers here (Python counts them as ints)."""
+    try:
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _int_from(v, path, lo: int) -> int:
+    if not (is_finite_number(v) and isinstance(v, int) and v >= lo):
+        raise SchemaError(path, f"integer >= {lo} required")
+    return v
+
+
 def _complex_from(v, path):
-    if isinstance(v, (int, float)):
+    if is_finite_number(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+    if isinstance(v, list) and len(v) == 2 and all(is_finite_number(x) for x in v):
         return complex(v[0], v[1])
-    raise SchemaError(path, "expected number or [re, im]")
+    raise SchemaError(path, "expected a finite number or [re, im]")
 
 
 def _poly_from(v, path) -> Poly:
@@ -425,10 +436,8 @@ def spec_from_dict(doc: dict):
         spec = normalized_spec(_poly_from(need("a"), "a"), _poly_from(need("b"), "b"))
     elif kind == "radial_monomial":
         forbid(("a", "b", "m", "d"))
-        k = need("k")
-        n = need("n")
-        if not isinstance(k, int) or not isinstance(n, int) or k < 0 or n < 0:
-            raise SchemaError("k", "k, n must be nonnegative integers")
+        k = _int_from(need("k"), "k", 0)
+        n = _int_from(need("n"), "n", 0)
         a_k = _complex_from(need("a_k"), "a_k")
         b_n = _complex_from(doc["b_n"], "b_n") if "b_n" in doc else None
         psi0 = _complex_from(doc["psi0"], "psi0") if "psi0" in doc else None
@@ -437,9 +446,7 @@ def spec_from_dict(doc: dict):
         spec = radial_monomial_spec(k, n, a_k, b_n=b_n, psi0=psi0)
     elif kind == "rotational":
         forbid(("k", "n", "a_k", "b_n", "psi0", "d"))
-        m = need("m")
-        if not isinstance(m, int) or m < 3:
-            raise SchemaError("m", "integer >= 3 required")
+        m = _int_from(need("m"), "m", 3)
         spec, _ = rotational_potential(m, _poly_from(need("a"), "a"),
                                        _poly_from(need("b"), "b"))
     elif kind == "vacuum":
@@ -476,11 +483,9 @@ def spec_from_dict(doc: dict):
 
     run = {}
     if "trunc" in doc:
-        if not isinstance(doc["trunc"], int) or doc["trunc"] < 4:
-            raise SchemaError("trunc", "integer >= 4 required")
-        run["trunc"] = doc["trunc"]
+        run["trunc"] = _int_from(doc["trunc"], "trunc", 4)
     if "tol" in doc:
-        if not isinstance(doc["tol"], (int, float)) or not 0 < doc["tol"] <= 1e-4:
+        if not is_finite_number(doc["tol"]) or not 0 < doc["tol"] <= 1e-4:
             raise SchemaError("tol", "must lie in (0, 1e-4]")
         run["tol"] = float(doc["tol"])
     if "grid" in doc:

@@ -50,8 +50,8 @@ def sigma_alg(x: np.ndarray) -> np.ndarray:
 
 
 def sigma_grp(g: np.ndarray) -> np.ndarray:
-    """Group automorphism g -> P (g^t)^{-1} P^{-1} (order 6)."""
-    return P @ np.linalg.inv(g.T) @ P
+    """Group automorphism g -> P (g^t)^{-1} P^{-1} (order 6), per matrix of a stack."""
+    return P @ np.linalg.inv(np.swapaxes(g, -1, -2)) @ P
 
 
 def tau(x: np.ndarray) -> np.ndarray:
@@ -112,8 +112,14 @@ def expm3(x: np.ndarray) -> np.ndarray:
     return _expm(np.asarray(x, dtype=complex))
 
 
-def op_norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x, 2))
+def op_norm(x: np.ndarray):
+    """Spectral norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(x, 2, axis=(-2, -1))
+
+
+def unitarity_defect(g: np.ndarray):
+    """||g* g - I||_2 of a matrix, or of each matrix of a stack."""
+    return op_norm(np.conj(np.swapaxes(g, -1, -2)) @ g - IDENTITY)
 
 
 def unit_circle(n: int, offset: float = 0.37) -> np.ndarray:

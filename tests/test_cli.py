@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -11,13 +10,9 @@ from conftest import SPEC_DIR
 SMALL_GRID = '{"kind":"polar","r_max":1.0,"n_r":3,"n_theta":4}'
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "lagdpw.cli", *args],
-                          capture_output=True, text=True, env=env)
-    return proc
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "lagdpw.cli", *args],
+                          capture_output=True, text=True)
 
 
 def test_build_clifford(tmp_path):
@@ -39,15 +34,16 @@ def test_build_clifford(tmp_path):
     assert " f " in mesh or "\nf " in mesh
 
 
-def test_build_deterministic_across_workers(tmp_path):
+def test_build_deterministic_across_runs(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     args = ("build", "--spec", str(SPEC_DIR / "rp2.json"),
             "--grid", SMALL_GRID)
-    p1 = run_cli(*args, "--out", str(a), env_extra={"LAGDPW_THREADS": "1"})
-    p2 = run_cli(*args, "--out", str(b), env_extra={"LAGDPW_THREADS": "4"})
+    p1 = run_cli(*args, "--out", str(a))
+    p2 = run_cli(*args, "--out", str(b))
     assert p1.returncode == 0 and p2.returncode == 0
-    assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
+    for name in ("samples.csv", "report.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_validate_rp2(tmp_path):
@@ -126,3 +122,46 @@ def test_trunc_bound_rejected(tmp_path):
                    "--grid", SMALL_GRID, "--trunc", "2",
                    "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
+
+
+def _build_with_grid(tmp_path, grid, *extra):
+    return run_cli("build", "--spec", str(SPEC_DIR / "clifford.json"), "--grid", grid,
+                   "--out", str(tmp_path / "o"), *extra)
+
+
+def test_grid_non_numeric_field_is_schema_error(tmp_path):
+    proc = _build_with_grid(tmp_path, '{"kind":"polar","r_max":"x","n_r":2,"n_theta":4}')
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "SchemaError" and doc["path"] == "grid.r_max"
+
+
+def test_bool_count_and_bool_exponent_are_schema_errors(tmp_path):
+    proc = _build_with_grid(tmp_path, '{"kind":"polar","r_max":1.0,"n_r":true,"n_theta":4}')
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["path"] == "grid.n_r"
+
+    spec = tmp_path / "k_true.json"
+    spec.write_text('{"kind": "radial_monomial", "k": true, "n": 0, '
+                    '"a_k": 1.0, "psi0": -1.0}')
+    proc = run_cli("build", "--spec", str(spec), "--grid", SMALL_GRID,
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["path"] == "k"
+
+
+def test_non_finite_extent_is_schema_error(tmp_path):
+    proc = _build_with_grid(tmp_path, '{"kind":"polar","r_max":1e400,"n_r":2,"n_theta":4}')
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["path"] == "grid.r_max"
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_build_with_every_node_failed_exits_3(tmp_path):
+    # |z| = 14 overflows trunc 8 (cf. test_truncation_overflow)
+    proc = _build_with_grid(tmp_path, '{"kind":"polar","r_max":14.0,"n_r":1,"n_theta":1}',
+                            "--trunc", "8", "--tol", "1e-8")
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "NoNodeSolved"
+    assert "TruncationOverflow" in doc["message"]

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_realform_degree_one
 from lagdpw import su3
 from lagdpw.dpw import (GridSpec, PipelineSurface, axis_log_v0,
                         clifford_frame_loop, clifford_oracle,
-                        extended_frame, frame_point, grid_sample,
+                        frame_point, grid_sample,
                         integrate_frame, rp2_oracle, surface_sample)
-from lagdpw.errors import TruncationOverflow
+from lagdpw.errors import SchemaError, TruncationOverflow
 from lagdpw.geometry import fubini_study_distance, metric_consistency_residual
 from lagdpw.loops import (LoopMatrix, loop_exp, loop_scale, loop_sum,
                           max_distance_on_circle, twist_residual,
@@ -57,27 +58,26 @@ def test_truncation_overflow():
 
 def test_extended_frame_clifford_and_base():
     z = 0.9 + 0.5j
-    frame, v_plus = extended_frame(CL, z, 16)
+    frame = frame_point(CL, z, 16).frame
     assert max_distance_on_circle(frame, clifford_frame_loop(z, 16)) < 1e-9
-    frame0, v0 = extended_frame(CL, 0.0, 16)
-    assert max_distance_on_circle(frame0, LoopMatrix.identity()) < 1e-12
-    assert max_distance_on_circle(v0, LoopMatrix.identity()) < 1e-12
+    fp0 = frame_point(CL, 0.0, 16)
+    assert max_distance_on_circle(fp0.frame, LoopMatrix.identity()) < 1e-12
+    assert max_distance_on_circle(fp0.v_plus, LoopMatrix.identity()) < 1e-12
 
 
 def test_extended_frame_unitary_twisted_positive_v0():
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
-    frame, v_plus = extended_frame(spec, 0.8 + 0.3j, 16)
-    assert unitarity_residual(frame) < 1e-9
-    assert twist_residual(frame) < 1e-9
-    v0 = v_plus.coefficient(0)
+    fp = frame_point(spec, 0.8 + 0.3j, 16)
+    assert unitarity_residual(fp.frame) < 1e-9
+    assert twist_residual(fp.frame) < 1e-9
+    v0 = fp.v_plus.coefficient(0)
     assert np.all(np.diagonal(v0).real > 0)
 
 
 def test_extended_frame_rp2_structure():
     # F = exp(lambda^{-1} h_- N_-) D exp(lambda h_+ N_+): modes -2..2 only
     z = 0.8 + 0.4j
-    frame, _ = extended_frame(RP2, z, 16)
-    frame = frame.trim(1e-12)
+    frame = frame_point(RP2, z, 16).frame.trim(1e-12)
     assert frame.min_degree >= -2 and frame.max_degree <= 2
     a = 1j  # u0 = 0
     s = surface_sample(RP2, z, 1.0)
@@ -130,14 +130,36 @@ def test_grid_sample_collects_failures():
     assert len(samples) == 2 and not failures
 
 
-def test_grid_sample_worker_determinism():
+def test_grid_sample_run_determinism():
     grid = GridSpec(kind="polar", r_max=1.0, n_r=3, n_theta=4)
-    s1, f1, _ = grid_sample(CL, grid, [1.0], workers=1)
-    s4, f4, _ = grid_sample(CL, grid, [1.0], workers=4)
-    assert len(s1) == len(s4)
-    for a, b in zip(s1, s4):
+    s1, _, _ = grid_sample(CL, grid, [1.0])
+    s2, _, _ = grid_sample(CL, grid, [1.0])
+    assert len(s1) == len(s2) == 12
+    for a, b in zip(s1, s2):
         assert np.array_equal(a.lift, b.lift)
         assert a.u == b.u and a.v0 == b.v0
+
+
+_JSON = (st.none() | st.booleans() | st.integers() | st.floats()
+         | st.text(max_size=2) | st.lists(st.integers(), max_size=2))
+_GRID_FIELDS = ("r_max", "n_r", "n_theta", "r_min", "extent", "nx", "ny")
+
+
+@settings(deadline=None)
+@given(st.fixed_dictionaries(
+    {"kind": st.sampled_from(["polar", "cartesian", "spiral"])},
+    optional={k: _JSON | st.integers(1, 4) | st.floats(0.1, 3.0)
+              for k in _GRID_FIELDS + ("zz",)}))
+def test_grid_from_dict_admits_only_finite_positive_fields(doc):
+    try:
+        grid = GridSpec.from_dict(doc)
+    except SchemaError:
+        return
+    for key in set(doc) & set(_GRID_FIELDS):
+        value = getattr(grid, key)
+        assert type(value) in (int, float) and 0 < value < math.inf
+        if key in ("n_r", "n_theta", "nx", "ny"):
+            assert type(value) is int
 
 
 def test_clifford_oracle_values():

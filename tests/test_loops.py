@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_twisted_algebra_loop, random_twisted_group_loop
 from lagdpw import su3
@@ -153,3 +154,45 @@ def test_loop_exp_matches_pointwise_expm(rng):
     g = loop_exp(xi, 16)
     for lam in su3.unit_circle(5):
         assert np.max(np.abs(g.evaluate(lam) - su3.expm3(xi.evaluate(lam)))) < 1e-12
+
+
+# -- the batched S^1 path against a per-sample reference ------------------------
+
+def _ref_distance(a, b, samples=24):
+    return max(float(np.linalg.norm(a.evaluate(l) - b.evaluate(l), 2))
+               for l in su3.unit_circle(samples))
+
+
+def _ref_unitarity(g, samples=24):
+    return max(float(np.linalg.norm(np.conj(v).T @ v - su3.IDENTITY, 2))
+               for v in (g.evaluate(l) for l in su3.unit_circle(samples)))
+
+
+def _ref_twist(g, samples=24):
+    # eps * lambda is formed over the whole array: numpy may round a
+    # scalar complex product differently from an array one
+    lams = su3.unit_circle(samples)
+    worst = 0.0
+    for lam, eps_lam in zip(lams, su3.EPS * lams):
+        sig = su3.P @ np.linalg.inv(g.evaluate(lam).T) @ su3.P
+        worst = max(worst, float(np.linalg.norm(g.evaluate(eps_lam) - sig, 2)))
+    return worst
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(1, 40))
+def test_circle_residuals_match_per_sample_reference(seed, samples):
+    rng = np.random.default_rng(seed)
+    g = random_twisted_group_loop(rng)
+    h = random_twisted_group_loop(rng)
+    assert max_distance_on_circle(g, h, samples) == _ref_distance(g, h, samples)
+    assert unitarity_residual(g, samples) == _ref_unitarity(g, samples)
+    assert twist_residual(g, samples) == _ref_twist(g, samples)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), theta=st.floats(0.0, 2 * np.pi))
+def test_evaluate_is_evaluate_many_of_one(seed, theta):
+    g = random_twisted_group_loop(np.random.default_rng(seed))
+    for lam in (np.exp(1j * theta), complex(np.exp(1j * theta)), 1.0):
+        assert np.array_equal(g.evaluate(lam), g.evaluate_many([lam])[0])

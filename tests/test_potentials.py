@@ -211,6 +211,10 @@ def test_radial_normalization_arbitrary_input():
     a_back = 0.5j * cmath.exp(1j * delta) / s ** (k + 1)
     assert a_back.imag == pytest.approx(0.0, abs=1e-14)
     assert a_back.real == pytest.approx(abs(0.5j))
+    # a zero slot is a ValueError, also when psi0 would be divided by a_k^2
+    for a_k, psi0 in ((0.0, -1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            radial_monomial_spec(0, 0, a_k, psi0=psi0)
 
 
 def test_constant_degree_one_requires_twisted():
@@ -255,6 +259,15 @@ def test_schema_kind_field_rules():
         spec_from_dict({"kind": "vacuum", "a": [0, 1], "b": [0, 1], "m": 3})
     with pytest.raises(SchemaError):
         spec_from_dict({"kind": "rotational", "m": 2, "a": [[1, 0]], "b": []})
+    # bools are not integers here, and numbers must be finite
+    for bad in ({"k": True}, {"n": False}, {"a_k": float("inf")},
+                {"psi0": [-1.0, True]}, {"a_k": 10 ** 400}):
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict({"kind": "radial_monomial", "k": 0, "n": 0,
+                            "a_k": 1.0, "psi0": -1.0, **bad})
+        assert err.value.path == next(iter(bad))
+    with pytest.raises(SchemaError):
+        spec_from_dict({"kind": "rotational", "m": True, "a": [[1, 0]], "b": []})
 
 
 def test_schema_constant_degree_one():
@@ -281,3 +294,6 @@ def test_schema_run_defaults():
     with pytest.raises(SchemaError):
         spec_from_dict({"kind": "normalized", "a": [[1, 0]], "b": [],
                         "tol": 1.0})
+    with pytest.raises(SchemaError):
+        spec_from_dict({"kind": "normalized", "a": [[1, 0]], "b": [],
+                        "trunc": True})
