@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", default=None,
                        help="comma-separated S^1 values, e.g. '1,0.707+0.707j'")
         p.add_argument("--trunc", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None,
+                       help="frame ODE tolerance in (0, 1e-4]; acts only on callable "
+                       "potential slots, so no schema-built spec depends on it")
         p.add_argument("--out", default="out")
 
     pb = sub.add_parser("build", help="sample the surface over a grid")

@@ -1,11 +1,13 @@
 """The central pipeline: holomorphic frame ODE, pointwise Iwasawa splitting,
 and extraction of the immersion data.
 
-From a potential eta the holomorphic frame solves dC = C eta, C(0, .) = I,
-integrated coefficientwise over the Laurent stack by an embedded
-Dormand-Prince 4(5) pair.  The unique Iwasawa split C = F V_+ yields the
-extended frame F (unitary, twisted) and the plus factor V_+.  Per point, the
-immersion data are
+From a potential eta the holomorphic frame solves dC = C eta, C(0, .) = I.
+eta only lowers the lambda-degree, so for polynomial slots every Laurent
+coefficient of C is a matrix polynomial in z, computed exactly once per
+potential (the Picard stack); callable slots are integrated coefficientwise
+by an embedded Dormand-Prince 4(5) pair, the only place ``tol`` acts.  The
+unique Iwasawa split C = F V_+ yields the extended frame F (unitary,
+twisted) and the plus factor V_+.  Per point, the immersion data are
 
     lift     f = F(z, lambda_0) e_3  in S^5,
     metric   e^{u/2} = |eta_{-1}(z)_{13} * v_0|,  v_0 = V_+(lambda=0)_{11},
@@ -22,6 +24,7 @@ nu = -i lambda_0^{-3}, not psi itself (cf. geometry.hopf_coefficient).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,11 +34,13 @@ from . import su3
 from .errors import PoleOnPath, SchemaError, TruncationOverflow
 from .factorization import IwasawaFactors, iwasawa
 from .loops import LoopMatrix, loop_exp, loop_scale
-from .potentials import PotentialSpec, is_finite_number
+from .potentials import Poly, PotentialSpec, is_finite_number
 
 DEFAULT_TRUNC = 16
 DEFAULT_TOL = 1e-10
 METRIC_FLOOR = 1e-10
+MAX_GRID_NODES = 100_000
+PICARD_CACHE_SIZE = 32
 
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
 
@@ -82,21 +87,88 @@ def _rk45(deriv, y0: np.ndarray, length: float, tol: float) -> np.ndarray:
     return y
 
 
+def _horner(stack: np.ndarray, z: complex) -> np.ndarray:
+    """sum_j stack[j] z^j over the leading axis."""
+    acc = np.zeros_like(stack[0])
+    for c in stack[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+@functools.lru_cache(maxsize=PICARD_CACHE_SIZE)
+def _picard_stack(a_fn: Poly, b_fn: Poly, base_point: complex, trunc: int) -> np.ndarray:
+    """The truncated frame as a matrix polynomial in z, shape (D, trunc+1, 3, 3).
+
+    Index [j, i] holds the z^j coefficient of C_{i - trunc}, where C_0 = I and
+    C_{-k} = int_{base_point}^z C_{-(k-1)} A dw: a convolution with the
+    polynomial stack of A followed by the antiderivative vanishing at the
+    base point.  Cached, so the array is read-only.
+    """
+    n_a = max(len(a_fn.coeffs), len(b_fn.coeffs), 1)
+    a_poly = np.zeros((n_a, 3, 3), dtype=complex)
+    a_poly[:len(a_fn.coeffs), 0, 2] = a_poly[:len(a_fn.coeffs), 2, 1] = \
+        1j * np.array(a_fn.coeffs, dtype=complex)
+    a_poly[:len(b_fn.coeffs), 1, 0] = 1j * np.array(b_fn.coeffs, dtype=complex)
+    stack = np.zeros((trunc * n_a + 1, trunc + 1, 3, 3), dtype=complex)
+    stack[0, trunc] = np.eye(3)
+    with np.errstate(all="ignore"):  # overflow surfaces as PoleOnPath at evaluation
+        for k in range(1, trunc + 1):
+            m = (k - 1) * n_a + 1  # coefficients of C_{-(k-1)}
+            prev = stack[:m, trunc - k + 1]
+            cur = stack[:m + n_a, trunc - k]
+            for q in range(n_a):  # the z^j product term lands at index j + 1 ...
+                cur[q + 1:q + 1 + m] += prev @ a_poly[q]
+            cur[1:] /= np.arange(1, m + n_a)[:, None, None]  # ... and / (j + 1)
+            if base_point != 0:
+                cur[0] = -_horner(cur, base_point)
+    stack.flags.writeable = False
+    return stack
+
+
 def integrate_frame(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
                     tol: float = DEFAULT_TOL, path=None) -> LoopMatrix:
     """Holomorphic frame C(z, .) solving dC = C eta, C(base, .) = I.
 
-    Integrates along the straight segment from the base point (or the
-    polygonal ``path`` of waypoints ending at z).  Constant degree-one
+    eta = lambda^{-1} A(z) dz only lowers the lambda-degree, so on degrees
+    -trunc..0 the frame is the finite Picard sum C_0 = I,
+    C_{-k}(z) = int_base^z C_{-(k-1)} A dw.  When both slots are Poly each
+    C_{-k} is an exact matrix polynomial (``_picard_stack``), evaluated at z
+    by Horner; ``tol`` and ``path`` are then unused, because the integral of
+    a holomorphic form does not depend on the path.  Callable slots are
+    integrated by adaptive Dormand-Prince along the straight segment from
+    the base point, or along the polygonal ``path`` of waypoints ending at
+    z, with local error ``tol`` per unit path length.  Constant degree-one
     potentials integrate exactly to exp(z D(lambda)).
+
+    Raises PoleOnPath on non-finite values and TruncationOverflow when the
+    boundary coefficient exceeds 1e-6 of the peak.
     """
     if spec.kind == "constant_degree_one":
         return loop_exp(loop_scale(spec.d_matrix, z - spec.base_point), trunc)
 
+    if isinstance(spec.a_fn, Poly) and isinstance(spec.b_fn, Poly):
+        stack = _picard_stack(spec.a_fn, spec.b_fn, complex(spec.base_point), trunc)
+        with np.errstate(all="ignore"):
+            y = _horner(stack, complex(z))
+        if not np.all(np.isfinite(y)):
+            raise PoleOnPath(f"non-finite frame coefficients at z = {complex(z)}")
+    else:
+        y = _integrate_rk45(spec, z, trunc, tol, path)
+
+    frame = LoopMatrix(y, -trunc, twisted=True)
+    boundary = frame.tail_norm(trunc)
+    peak = float(np.max(np.abs(y)))
+    if boundary > 1e-6 * peak:
+        raise TruncationOverflow(
+            f"boundary coefficient {boundary:.3e} vs peak {peak:.3e} at trunc={trunc}")
+    return frame.trim(0.0)
+
+
+def _integrate_rk45(spec: PotentialSpec, z: complex, trunc: int, tol: float,
+                    path) -> np.ndarray:
+    """The stack of degrees -trunc..0 by DP45 along the waypoints to z."""
     waypoints = [spec.base_point] + (list(path) if path else []) + [z]
-    lo = -trunc
-    n_deg = trunc + 1  # degrees lo..0; eta only lowers the degree
-    y = np.zeros((n_deg, 3, 3), dtype=complex)
+    y = np.zeros((trunc + 1, 3, 3), dtype=complex)
     y[-1] = np.eye(3)
 
     for za, zb in zip(waypoints[:-1], waypoints[1:]):
@@ -112,14 +184,7 @@ def integrate_frame(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
             return out
 
         y = _rk45(deriv, y, abs(dz), tol)
-
-    frame = LoopMatrix(y, lo, twisted=True)
-    boundary = frame.tail_norm(trunc)
-    peak = float(np.max(np.abs(y)))
-    if boundary > 1e-6 * peak:
-        raise TruncationOverflow(
-            f"boundary coefficient {boundary:.3e} vs peak {peak:.3e} at trunc={trunc}")
-    return frame.trim(0.0)
+    return y
 
 
 @dataclass(frozen=True)
@@ -239,7 +304,11 @@ class GridSpec:
                     and (isinstance(value, int) or not count)):
                 raise SchemaError(f"grid.{key}", "expected a positive integer" if count
                                   else "expected a finite positive number")
-        return GridSpec(**doc)
+        grid = GridSpec(**doc)
+        n_nodes = grid.n_r * grid.n_theta if kind == "polar" else grid.nx * grid.ny
+        if n_nodes > MAX_GRID_NODES:
+            raise SchemaError("grid", f"{n_nodes} nodes exceed the cap of {MAX_GRID_NODES}")
+        return grid
 
 
 def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),

@@ -443,7 +443,13 @@ def spec_from_dict(doc: dict):
         psi0 = _complex_from(doc["psi0"], "psi0") if "psi0" in doc else None
         if (b_n is None) == (psi0 is None):
             raise SchemaError("psi0", "give exactly one of b_n, psi0")
-        spec = radial_monomial_spec(k, n, a_k, b_n=b_n, psi0=psi0)
+        try:
+            spec = radial_monomial_spec(k, n, a_k, b_n=b_n, psi0=psi0)
+        except ArithmeticError:
+            raise SchemaError("a_k", "a_k^2 is outside the float range") from None
+        except ValueError as exc:  # a zero slot
+            raise SchemaError("a_k" if a_k == 0 else "psi0" if b_n is None else "b_n",
+                              str(exc)) from None
     elif kind == "rotational":
         forbid(("k", "n", "a_k", "b_n", "psi0", "d"))
         m = _int_from(need("m"), "m", 3)
@@ -451,8 +457,11 @@ def spec_from_dict(doc: dict):
                                        _poly_from(need("b"), "b"))
     elif kind == "vacuum":
         forbid(("k", "n", "a_k", "b_n", "psi0", "m", "d"))
-        _, _, spec = vacuum_normalize(_complex_from(need("a"), "a"),
-                                      _complex_from(need("b"), "b"))
+        try:
+            _, _, spec = vacuum_normalize(_complex_from(need("a"), "a"),
+                                          _complex_from(need("b"), "b"))
+        except NotVacuum as exc:
+            raise SchemaError("b", str(exc)) from None
     else:  # constant_degree_one
         forbid(("a", "b", "k", "n", "a_k", "b_n", "psi0", "m"))
         d_doc = need("d")

@@ -10,9 +10,9 @@ from conftest import SPEC_DIR
 SMALL_GRID = '{"kind":"polar","r_max":1.0,"n_r":3,"n_theta":4}'
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "lagdpw.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_build_clifford(tmp_path):
@@ -124,9 +124,9 @@ def test_trunc_bound_rejected(tmp_path):
     assert proc.returncode == 2
 
 
-def _build_with_grid(tmp_path, grid, *extra):
+def _build_with_grid(tmp_path, grid, *extra, timeout=None):
     return run_cli("build", "--spec", str(SPEC_DIR / "clifford.json"), "--grid", grid,
-                   "--out", str(tmp_path / "o"), *extra)
+                   "--out", str(tmp_path / "o"), *extra, timeout=timeout)
 
 
 def test_grid_non_numeric_field_is_schema_error(tmp_path):
@@ -161,6 +161,26 @@ def test_build_with_every_node_failed_exits_3(tmp_path):
     # |z| = 14 overflows trunc 8 (cf. test_truncation_overflow)
     proc = _build_with_grid(tmp_path, '{"kind":"polar","r_max":14.0,"n_r":1,"n_theta":1}',
                             "--trunc", "8", "--tol", "1e-8")
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "NoNodeSolved"
+    assert "TruncationOverflow" in doc["message"]
+
+
+def test_grid_node_cap_is_schema_error(tmp_path):
+    proc = _build_with_grid(
+        tmp_path, '{"kind":"polar","r_max":1,"n_r":1000000000000,"n_theta":1000000}')
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "SchemaError" and doc["path"] == "grid"
+
+
+def test_far_ring_overflows_without_integrating(tmp_path):
+    # at |z| = 1e6 every node overflows trunc 16; the exact frame decides that
+    # at once (a time-stepping integrator would crawl out to the node)
+    proc = _build_with_grid(
+        tmp_path, '{"kind":"polar","r_min":1e6,"r_max":1e6,"n_r":1,"n_theta":1}',
+        timeout=30)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["error"] == "NoNodeSolved"

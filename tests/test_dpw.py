@@ -1,16 +1,18 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_realform_degree_one
+from conftest import bundled_spec, random_realform_degree_one
 from lagdpw import su3
-from lagdpw.dpw import (GridSpec, PipelineSurface, axis_log_v0,
+from lagdpw.dpw import (MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_v0,
                         clifford_frame_loop, clifford_oracle,
                         frame_point, grid_sample,
                         integrate_frame, rp2_oracle, surface_sample)
-from lagdpw.errors import SchemaError, TruncationOverflow
+from lagdpw.errors import PoleOnPath, SchemaError, TruncationOverflow
 from lagdpw.geometry import fubini_study_distance, metric_consistency_residual
 from lagdpw.loops import (LoopMatrix, loop_exp, loop_scale, loop_sum,
                           max_distance_on_circle, twist_residual,
@@ -21,6 +23,7 @@ from lagdpw.potentials import (Poly, clifford_spec, constant_degree_one_spec,
 A = su3.A_CLIFFORD
 CL = clifford_spec()
 RP2 = normalized_spec(Poly.of(1.0), Poly.of(0.0))
+BUNDLED = ("clifford", "radial_ab", "radial_k1", "rotational_m4", "rp2")
 
 
 def test_integrate_frame_clifford_matches_exponential():
@@ -42,18 +45,66 @@ def test_integrate_frame_constant_degree_one(rng):
     assert max_distance_on_circle(c, loop_exp(loop_scale(d, z), 16)) < 1e-12
 
 
+def _callable_slots(spec):
+    """The same potential with its Poly slots wrapped as callables (RK45 branch)."""
+    return replace(spec, a_fn=lambda z: spec.a_fn(z), b_fn=lambda z: spec.b_fn(z))
+
+
+def _relative_gap(exact, oracle):
+    lo = min(exact.min_degree, oracle.min_degree)
+    a, b = exact.restrict(lo, 0).coeffs, oracle.restrict(lo, 0).coeffs
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
 def test_path_independence():
+    # the exact stack against RK45 along a polygonal path of the same slots
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
     z = 1.1 + 0.7j
     tol = 1e-10
     c1 = integrate_frame(spec, z, 16, tol)
-    c2 = integrate_frame(spec, z, 16, tol, path=[0.9j, 0.5 + 0.1j])
+    c2 = integrate_frame(_callable_slots(spec), z, 16, tol, path=[0.9j, 0.5 + 0.1j])
     assert max_distance_on_circle(c1, c2) < 10 * tol
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_exact_frame_matches_rk45_on_outer_ring(name):
+    spec, run = bundled_spec(name)
+    grid = GridSpec.from_dict(run["grid"])
+    ring = grid.nodes()[-grid.n_theta:]
+    oracle = _callable_slots(spec)
+    for z in ring:
+        gap = _relative_gap(integrate_frame(spec, z, 16), integrate_frame(oracle, z, 16))
+        assert gap < 1e-9, (z, gap)
+
+
+_SMALL_COEFF = st.complex_numbers(max_magnitude=1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(_SMALL_COEFF, min_size=1, max_size=3),
+       st.lists(_SMALL_COEFF, min_size=1, max_size=3),
+       st.complex_numbers(max_magnitude=1.0),
+       st.sampled_from([0.0, 0.5 - 0.25j]))
+def test_exact_frame_matches_rk45_on_random_polys(a, b, z, base):
+    spec = replace(normalized_spec(Poly.of(*a), Poly.of(*b)), base_point=base)
+    gap = _relative_gap(integrate_frame(spec, z, 16),
+                        integrate_frame(_callable_slots(spec), z, 16))
+    assert gap < 1e-9
 
 
 def test_truncation_overflow():
     with pytest.raises(TruncationOverflow):
         integrate_frame(CL, 14.0, 8, 1e-8)
+
+
+def test_exact_frame_overflow_is_pole_on_path():
+    # Horner overflows at z = 1e200; typed error, no numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleOnPath):
+            integrate_frame(RP2, 1e200, 16)
+        with pytest.raises(TruncationOverflow):
+            integrate_frame(CL, 1e6, 16)
 
 
 def test_extended_frame_clifford_and_base():
@@ -160,6 +211,7 @@ def test_grid_from_dict_admits_only_finite_positive_fields(doc):
         assert type(value) in (int, float) and 0 < value < math.inf
         if key in ("n_r", "n_theta", "nx", "ny"):
             assert type(value) is int
+    assert len(grid.nodes()) <= MAX_GRID_NODES
 
 
 def test_clifford_oracle_values():

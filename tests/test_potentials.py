@@ -266,6 +266,20 @@ def test_schema_kind_field_rules():
             spec_from_dict({"kind": "radial_monomial", "k": 0, "n": 0,
                             "a_k": 1.0, "psi0": -1.0, **bad})
         assert err.value.path == next(iter(bad))
+    # values only the constructors reject are schema errors too: zero slots,
+    # a_k^2 outside the float range, and a vacuum with |a| != |b|
+    for bad in ({"a_k": 0}, {"psi0": 0}, {"a_k": 1e200}, {"a_k": 1e-200}):
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict({"kind": "radial_monomial", "k": 0, "n": 0,
+                            "a_k": 1.0, "psi0": -1.0, **bad})
+        assert err.value.path == next(iter(bad))
+    with pytest.raises(SchemaError) as err:
+        spec_from_dict({"kind": "radial_monomial", "k": 0, "n": 0,
+                        "a_k": 1.0, "b_n": 0})
+    assert err.value.path == "b_n"
+    with pytest.raises(SchemaError) as err:
+        spec_from_dict({"kind": "vacuum", "a": [0, 1], "b": [0, 2]})
+    assert err.value.path == "b"
     with pytest.raises(SchemaError):
         spec_from_dict({"kind": "rotational", "m": True, "a": [[1, 0]], "b": []})
 
