@@ -203,10 +203,6 @@ class FrameField:
     potential: PotentialSpec
     trunc: int
 
-    @property
-    def residual_summary(self):
-        return tuple((p.z, p.residual, p.tail) for p in self.points)
-
 
 def frame_point(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
                 tol: float = DEFAULT_TOL) -> FramePoint:

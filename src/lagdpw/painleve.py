@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NotRadialPIII, SeedTooLarge
 from .potentials import PotentialSpec
@@ -109,6 +108,7 @@ class PainleveSolution:
 
 
 def _integrate(params, s0, s_max, tol):
+    from scipy.integrate import solve_ivp  # not at module level: only PIII solves need it
     def rhs(s, y):
         h, hd = y
         return [hd, piii_rhs(s, h, hd, params)]

@@ -62,15 +62,8 @@ class Poly:
                 return i
         return -1
 
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
     def scale(self, s: complex) -> "Poly":
         return Poly(tuple(complex(s) * c for c in self.coeffs))
-
-    def stretch_arg(self, s: complex) -> "Poly":
-        """p(s z) as a Poly."""
-        return Poly(tuple(c * s**j for j, c in enumerate(self.coeffs)))
 
     def compose_monomial(self, m: int, shift: int = 0) -> "Poly":
         """z^shift * p(z^m); requires the result to be polynomial."""
@@ -177,6 +170,8 @@ def normalized_spec(a_fn: Coefficient, b_fn: Coefficient) -> PotentialSpec:
             and a_fn.degree <= 0 and b_fn.degree <= 0:
         k = n = 0
         psi0 = -a_fn(0.0) ** 2 * b_fn(0.0)
+        if not cmath.isfinite(psi0):
+            raise ValueError(f"psi0 = -a^2 b = {psi0} is outside the float range")
     return PotentialSpec(kind="normalized", a_fn=a_fn, b_fn=b_fn, k=k, n=n, psi0=psi0)
 
 
@@ -211,10 +206,13 @@ def radial_monomial_spec(k: int, n: int, a_k: complex,
     # a -> |a_k|, b -> |b_n|, psi0 -> -|a_k^2 b_n|.
     s = cmath.exp(1j * cmath.phase(a_k ** 2 * b_n) / (2 * k + n + 3))
     delta = -cmath.phase(a_k / s ** (k + 1))
+    psi0_abs = abs(a_k) ** 2 * abs(b_n)
+    if not 0 < psi0_abs < math.inf:
+        raise ValueError(f"|psi0| = |a_k^2 b_n| = {psi0_abs} is outside the float range")
     a_poly = Poly(tuple([0.0] * k + [abs(a_k)]))
     b_poly = Poly(tuple([0.0] * n + [abs(b_n)]))
     return PotentialSpec(kind="radial_monomial", a_fn=a_poly, b_fn=b_poly,
-                         k=k, n=n, psi0=complex(-abs(a_k) ** 2 * abs(b_n), 0.0),
+                         k=k, n=n, psi0=complex(-psi0_abs, 0.0),
                          gauge_delta=float(delta), coord_scale=s)
 
 
@@ -291,6 +289,8 @@ def vacuum_normalize(a: complex, b: complex, tol: float = 1e-12):
     scale = max(abs(a), abs(b), 1.0)
     if abs(abs(a) - abs(b)) > tol * scale:
         raise NotVacuum(f"|a| = {abs(a)} != |b| = {abs(b)}: [A, tau(A)] != 0")
+    if a == 0 or b == 0:
+        raise ValueError("a and b must be nonzero (a = b = 0 is the zero potential)")
     r = abs(a)
     theta = cmath.phase(a / 1j)
     beta = cmath.phase(b / 1j)
@@ -433,7 +433,13 @@ def spec_from_dict(doc: dict):
 
     if kind == "normalized":
         forbid(("k", "n", "a_k", "b_n", "psi0", "m", "d"))
-        spec = normalized_spec(_poly_from(need("a"), "a"), _poly_from(need("b"), "b"))
+        a_fn, b_fn = _poly_from(need("a"), "a"), _poly_from(need("b"), "b")
+        try:
+            spec = normalized_spec(a_fn, b_fn)
+        except ArithmeticError:
+            raise SchemaError("a", "a^2 is outside the float range") from None
+        except ValueError as exc:
+            raise SchemaError("b", str(exc)) from None
     elif kind == "radial_monomial":
         forbid(("a", "b", "m", "d"))
         k = _int_from(need("k"), "k", 0)
@@ -447,7 +453,7 @@ def spec_from_dict(doc: dict):
             spec = radial_monomial_spec(k, n, a_k, b_n=b_n, psi0=psi0)
         except ArithmeticError:
             raise SchemaError("a_k", "a_k^2 is outside the float range") from None
-        except ValueError as exc:  # a zero slot
+        except ValueError as exc:  # a zero slot, or psi0 outside the float range
             raise SchemaError("a_k" if a_k == 0 else "psi0" if b_n is None else "b_n",
                               str(exc)) from None
     elif kind == "rotational":
@@ -457,11 +463,14 @@ def spec_from_dict(doc: dict):
                                        _poly_from(need("b"), "b"))
     elif kind == "vacuum":
         forbid(("k", "n", "a_k", "b_n", "psi0", "m", "d"))
+        a = _complex_from(need("a"), "a")
+        b = _complex_from(need("b"), "b")
         try:
-            _, _, spec = vacuum_normalize(_complex_from(need("a"), "a"),
-                                          _complex_from(need("b"), "b"))
+            _, _, spec = vacuum_normalize(a, b)
         except NotVacuum as exc:
             raise SchemaError("b", str(exc)) from None
+        except ValueError as exc:  # a zero slot
+            raise SchemaError("a" if a == 0 else "b", str(exc)) from None
     else:  # constant_degree_one
         forbid(("a", "b", "k", "n", "a_k", "b_n", "psi0", "m"))
         d_doc = need("d")

@@ -21,7 +21,6 @@ entries (i,j) with w_i - w_j = 2d (mod 6), w = (4, 2, 0).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 EPS = np.exp(1j * np.pi / 3)  # primitive 6th root of unity
 ALPHA = np.exp(2j * np.pi / 3)  # primitive cube root, ALPHA = EPS^2
@@ -57,11 +56,6 @@ def sigma_grp(g: np.ndarray) -> np.ndarray:
 def tau(x: np.ndarray) -> np.ndarray:
     """Anti-holomorphic involution X -> -conj(X)^t of sl(3,C)."""
     return -np.conj(x).T
-
-
-def tau_grp(g: np.ndarray) -> np.ndarray:
-    """Group form of tau: g -> (conj(g)^t)^{-1}; fixed points are SU(3)."""
-    return np.linalg.inv(np.conj(g).T)
 
 
 def eigenspace_project(x: np.ndarray, k: int) -> np.ndarray:
@@ -109,7 +103,8 @@ def is_su3_alg(x: np.ndarray, tol: float = 1e-10) -> bool:
 
 def expm3(x: np.ndarray) -> np.ndarray:
     """Matrix exponential of a 3x3 block (scaling-and-squaring Pade)."""
-    return _expm(np.asarray(x, dtype=complex))
+    from scipy.linalg import expm  # not at module level: nothing on the build path needs it
+    return expm(np.asarray(x, dtype=complex))
 
 
 def op_norm(x: np.ndarray):

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from conftest import SPEC_DIR
+
+SRC_DIR = SPEC_DIR.parents[1]
 
 SMALL_GRID = '{"kind":"polar","r_max":1.0,"n_r":3,"n_theta":4}'
 
@@ -110,6 +114,22 @@ def test_schema_error_exit_code(tmp_path):
     assert doc["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"kind": "vacuum", "a": 0, "b": 0}, "a"),
+    ({"kind": "radial_monomial", "k": 0, "n": 0, "a_k": 1e100, "b_n": 1e300}, "b_n"),
+    ({"kind": "normalized", "a": [1e200], "b": [1]}, "a"),
+])
+def test_degenerate_potential_is_schema_error(tmp_path, doc, path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_cli("build", "--spec", str(spec), "--grid", SMALL_GRID,
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["error"] == "SchemaError" and out["path"] == path
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_malformed_json_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -185,3 +205,27 @@ def test_far_ring_overflows_without_integrating(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["error"] == "NoNodeSolved"
     assert "TruncationOverflow" in doc["message"]
+
+
+def test_build_never_loads_scipy(tmp_path):
+    # scipy is imported on first use by su3.expm3 and the PIII solver only
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from lagdpw import cli
+        rc = cli.main(["build", "--spec", {str(SPEC_DIR / "clifford.json")!r},
+                       "--grid", '{{"kind":"polar","r_max":1.0,"n_r":1,"n_theta":4}}',
+                       "--out", {str(tmp_path / "o")!r}])
+        assert rc == 0, rc
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
+        from lagdpw import painleve, su3
+        x = np.diag([1j, -1j, 0.0])
+        assert np.allclose(su3.expm3(x), np.diag(np.exp(np.diag(x))), atol=1e-14)
+        sol = painleve.solve_piii(painleve.PainleveParams(0, 0, 1.0, 1.0), s_max=1.0)
+        assert np.max(np.abs(sol.h - sol.s_samples ** (1 / 3))) < 1e-6
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "o" / "samples.csv").is_file()

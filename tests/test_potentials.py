@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lagdpw import su3
-from lagdpw.errors import NotVacuum, PoleAtOrigin, SchemaError
+from lagdpw.errors import LagdpwError, NotVacuum, PoleAtOrigin, SchemaError
 from lagdpw.loops import algebra_twist_residual
-from lagdpw.potentials import (Poly, check_potential_symmetry,
+from lagdpw.potentials import (KINDS, Poly, check_potential_symmetry,
                                clifford_spec, constant_degree_one_spec,
                                homogeneity_params, normalized_spec,
                                outer_symmetry_order, radial_monomial_spec,
@@ -280,20 +281,81 @@ def test_schema_kind_field_rules():
     with pytest.raises(SchemaError) as err:
         spec_from_dict({"kind": "vacuum", "a": [0, 1], "b": [0, 2]})
     assert err.value.path == "b"
+    # the zero potential is no vacuum, and psi0 = -a_k^2 b_n must be a finite nonzero float
+    with pytest.raises(SchemaError) as err:
+        spec_from_dict({"kind": "vacuum", "a": 0, "b": 0})
+    assert err.value.path == "a"
+    for bad, path in (({"b_n": 1e300, "a_k": 1e100}, "b_n"),
+                      ({"b_n": 1e-300, "a_k": 1e-100}, "b_n"),
+                      ({"psi0": 1e300, "a_k": 1e-10}, "psi0")):
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict({"kind": "radial_monomial", "k": 0, "n": 0, **bad})
+        assert err.value.path == path
     with pytest.raises(SchemaError):
         spec_from_dict({"kind": "rotational", "m": True, "a": [[1, 0]], "b": []})
 
 
+def _encode(matrix):
+    return [[[v.real, v.imag] for v in row] for row in matrix.tolist()]
+
+
+_NUMBER = st.integers(-3, 5) | st.floats(-3, 3) | st.floats()
+_COMPLEX = _NUMBER | st.lists(_NUMBER, min_size=2, max_size=2)
+_JUNK = st.recursive(st.none() | st.booleans() | _NUMBER | st.text(max_size=3),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                     max_leaves=6)
+_MATRIX = st.lists(st.lists(_COMPLEX, min_size=3, max_size=3), min_size=3, max_size=3)
+_FIELD = {
+    "a": _COMPLEX | st.lists(_COMPLEX, max_size=3),
+    "b": _COMPLEX | st.lists(_COMPLEX, max_size=3),
+    "k": st.integers(-1, 3), "n": st.integers(-1, 3), "m": st.integers(0, 6),
+    "a_k": _COMPLEX, "b_n": _COMPLEX, "psi0": _COMPLEX,
+    "d": st.dictionaries(st.sampled_from(["-1", "0", "1", "2", "x"]), _MATRIX, max_size=3)
+    | st.floats(-3, 3).map(lambda t: {"-1": _encode(t * su3.A_CLIFFORD),
+                                      "1": _encode(su3.tau(t * su3.A_CLIFFORD))}),
+    "trunc": st.integers(0, 40), "tol": _NUMBER, "lambda": st.lists(_COMPLEX, max_size=2),
+    "grid": _JUNK, "zz": _JUNK,
+}
+_OWN_FIELDS = {"normalized": "a b", "radial_monomial": "k n a_k b_n psi0",
+               "rotational": "m a b", "vacuum": "a b", "constant_degree_one": "d"}
+
+
+@st.composite
+def _spec_docs(draw):
+    """A JSON-like document: mostly the kind's own fields, sometimes junk or strays."""
+    kind = draw(st.sampled_from(KINDS + ("nope",)) if draw(st.integers(0, 9)) else _JUNK)
+    own = _OWN_FIELDS.get(kind, "").split() if isinstance(kind, str) else []
+    doc = {"kind": kind}
+    for key, value in _FIELD.items():
+        if draw(st.integers(0, 19)) < (16 if key in own else 1):
+            doc[key] = draw(value if draw(st.integers(0, 9)) else _JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spec_docs())
+@example({"kind": "vacuum", "a": 0, "b": 0})
+@example({"kind": "radial_monomial", "k": 0, "n": 0, "a_k": 1e100, "b_n": 1e300})
+@example({"kind": "normalized", "a": [1e200], "b": [1]})
+def test_spec_from_dict_raises_only_typed_errors(doc):
+    try:
+        spec, run = spec_from_dict(doc)
+    except LagdpwError:
+        return
+    assert spec.kind == doc["kind"]
+    assert spec.psi0 is None or cmath.isfinite(spec.psi0)
+    assert set(run) <= {"trunc", "grid", "lambda", "tol"}
+
+
 def test_schema_constant_degree_one():
-    enc = lambda m: [[[m[i][j].real, m[i][j].imag] for j in range(3)]
-                     for i in range(3)]
     a = su3.A_CLIFFORD
     doc = {"kind": "constant_degree_one",
-           "d": {"-1": enc(a), "1": enc(su3.tau(a))}}
+           "d": {"-1": _encode(a), "1": _encode(su3.tau(a))}}
     spec, _ = spec_from_dict(doc)
     assert spec.kind == "constant_degree_one"
     with pytest.raises(SchemaError):
-        spec_from_dict({"kind": "constant_degree_one", "d": {"2": enc(a)}})
+        spec_from_dict({"kind": "constant_degree_one", "d": {"2": _encode(a)}})
 
 
 def test_schema_run_defaults():
