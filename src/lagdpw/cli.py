@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,26 @@ def _sample_row(s: dpw.SurfaceSample) -> str:
     cells.append(_fmt(s.residual))
     cells.append(_fmt(s.tail))
     return ",".join(cells)
+
+
+def _finite_json(obj):
+    """obj with each non-finite float spelled as the string "nan", "inf" or "-inf"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
+def _dumps(obj, **kw) -> str:
+    """Strict JSON: no bare NaN or Infinity ever reaches a report or stdout."""
+    return json.dumps(_finite_json(obj), allow_nan=False, **kw)
+
+
+def _write_report(path: Path, doc: dict) -> None:
+    path.write_text(_dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_lambdas(text: str):
@@ -165,7 +186,7 @@ def _cmd_build(args) -> int:
             "trunc": trunc,
             "tol": tol,
         }
-        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_report(out / "report.json", report)
     if "obj" in formats:
         triple = args.project.split(",")
         if len(triple) != 3 or any(k not in _PROJECTIONS for k in triple):
@@ -193,9 +214,9 @@ def _cmd_validate(args) -> int:
     doc["passed"] = not failed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({"status": "ok" if not failed else "threshold-exceeded",
-                      "failed": failed}))
+    _write_report(out / "report.json", doc)
+    print(_dumps({"status": "ok" if not failed else "threshold-exceeded",
+                  "failed": failed}))
     return 0 if not failed else 4
 
 

@@ -108,7 +108,12 @@ class PotentialSpec:
             d = self.d_matrix
             if d is None or d.min_degree < -1 or d.max_degree > 1:
                 raise ValueError("constant_degree_one needs a degree {-1,0,1} loop")
-            if algebra_twist_residual(d) > 1e-10 * max(d.wiener_norm(), 1.0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = d.wiener_norm()
+                residual = algebra_twist_residual(d)
+            if not math.isfinite(scale):
+                raise ValueError("d_matrix entries overflow the float range")
+            if not residual <= 1e-10 * max(scale, 1.0):  # a NaN residual fails too
                 raise ValueError("d_matrix is not algebra-twisted")
 
     # -- coefficient access --------------------------------------------------

@@ -39,8 +39,8 @@ A_CLIFFORD = np.array(
 IDENTITY = np.eye(3, dtype=complex)
 
 # Conjugation weights of sigma^2 = Ad(diag(eps^4, eps^2, 1)).
-_W = np.array([4, 2, 0])
-_ENTRY_GRADE = np.mod(_W[:, None] - _W[None, :], 6)  # values in {0, 2, 4}
+WEIGHTS = np.array([4, 2, 0])
+_ENTRY_GRADE = np.mod(WEIGHTS[:, None] - WEIGHTS[None, :], 6)  # values in {0, 2, 4}
 
 
 def sigma_alg(x: np.ndarray) -> np.ndarray:
@@ -78,8 +78,10 @@ def in_eigenspace(x: np.ndarray, k: int, tol: float = 1e-12) -> bool:
     return np.max(np.abs(x - eigenspace_project(x, k))) <= tol * scale
 
 
-def group_slot_mask(degree: int) -> np.ndarray:
+def group_slot_mask(degree) -> np.ndarray:
     """Boolean mask of entries a twisted group-loop coefficient may occupy.
+
+    An integer array of degrees shaped (n, 1, 1) gives the (n, 3, 3) stack.
 
     Derived from sigma^2 only (the inner part); the remaining order-2
     condition relates a loop to its inverse and is not entrywise linear.

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import SPEC_DIR
+from lagdpw import cli, geometry
 
 SRC_DIR = SPEC_DIR.parents[1]
 
@@ -114,10 +116,17 @@ def test_schema_error_exit_code(tmp_path):
     assert doc["error"] == "SchemaError"
 
 
+# 1e308 * A_CLIFFORD and its tau image: the twist check overflows
+_BIG, _NIL = [0.0, 1e308], [0.0, 0.0]
+_OVERFLOWING_D = {"-1": [[_NIL, _NIL, _BIG], [_BIG, _NIL, _NIL], [_NIL, _BIG, _NIL]],
+                  "1": [[_NIL, _BIG, _NIL], [_NIL, _NIL, _BIG], [_BIG, _NIL, _NIL]]}
+
+
 @pytest.mark.parametrize("doc, path", [
     ({"kind": "vacuum", "a": 0, "b": 0}, "a"),
     ({"kind": "radial_monomial", "k": 0, "n": 0, "a_k": 1e100, "b_n": 1e300}, "b_n"),
     ({"kind": "normalized", "a": [1e200], "b": [1]}, "a"),
+    ({"kind": "constant_degree_one", "d": _OVERFLOWING_D}, "d"),
 ])
 def test_degenerate_potential_is_schema_error(tmp_path, doc, path):
     spec = tmp_path / "spec.json"
@@ -128,6 +137,26 @@ def test_degenerate_potential_is_schema_error(tmp_path, doc, path):
     out = json.loads(proc.stdout)
     assert out["error"] == "SchemaError" and out["path"] == path
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_validate_report_has_no_bare_nan(tmp_path, monkeypatch, capsys):
+    nan_report = geometry.ResidualReport(
+        horizontality=math.nan, conformality=math.inf, unitarity=0.0,
+        determinant=0.0, tzitzeica=0.0, codazzi=0.0, stencil_h=1e-3)
+    monkeypatch.setattr(geometry, "certify", lambda *args, **kwargs: nan_report)
+    out = tmp_path / "v"
+    code = cli.main(["validate", "--spec", str(SPEC_DIR / "rp2.json"),
+                     "--grid", SMALL_GRID, "--out", str(out)])
+    assert code == 4
+
+    def reject(constant):
+        raise ValueError(f"bare {constant} in JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["horizontality"] == "nan" and report["conformality"] == "inf"
+    assert report["passed"] is False
+    status = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert status["failed"] == {"horizontality": "nan", "conformality": "inf"}
 
 
 def test_malformed_json_exit_code(tmp_path):

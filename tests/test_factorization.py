@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_twisted_group_loop
-from lagdpw import su3
+from conftest import bundled_spec, random_twisted_group_loop
+from lagdpw import dpw, factorization, su3
 from lagdpw.errors import IllConditioned, OutsideBigCell
 from lagdpw.factorization import birkhoff, iwasawa
 from lagdpw.loops import (LoopMatrix, loop_exp, max_distance_on_circle,
@@ -145,3 +146,45 @@ def test_iwasawa_ill_conditioned():
     m[0, 0] = 1.0
     with pytest.raises(IllConditioned):
         iwasawa(LoopMatrix.constant(m), 8)
+
+
+def _routes_agree(g, trunc):
+    """The grade split of g, and its largest S^1 gap in h and v_plus to the single QR."""
+    assert factorization._grade_split(g)
+    graded = iwasawa(g, trunc)
+    single = iwasawa(LoopMatrix(g.coeffs, g.min_degree, twisted=False), trunc)
+    return graded, max(max_distance_on_circle(graded.unitary, single.unitary),
+                       max_distance_on_circle(graded.v_plus, single.v_plus))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.01, 1.0))
+def test_iwasawa_property_on_random_twisted_loops(seed, amp):
+    g = random_twisted_group_loop(np.random.default_rng(seed), amp=amp)
+    fac, gap = _routes_agree(g, 16)
+    assert unitarity_residual(fac.unitary) < 1e-9
+    assert twist_residual(fac.unitary) < 1e-9
+    v0 = fac.v_plus.coefficient(0)
+    assert np.array_equal(v0, np.diag(np.diagonal(v0)))
+    assert np.all(np.diagonal(v0).real > 0)
+    assert np.max(np.abs(np.diagonal(v0).imag)) < 1e-12
+    assert fac.residual < 1e-8
+    assert gap < 1e-12
+
+
+@pytest.mark.parametrize("trunc", [16, 36])
+@pytest.mark.parametrize("name", ["clifford", "radial_ab", "radial_k1", "rotational_m4", "rp2"])
+def test_iwasawa_routes_agree_on_outer_ring(name, trunc):
+    spec, run = bundled_spec(name)
+    grid = dpw.GridSpec.from_dict(run["grid"])
+    for z in grid.nodes()[-grid.n_theta:]:
+        _, gap = _routes_agree(dpw.integrate_frame(spec, z, trunc), trunc)
+        assert gap < 1e-12, (z, gap)
+
+
+def test_iwasawa_single_qr_for_off_grade_mass():
+    # a twisted flag alone does not select the grade split
+    u = su3.expm3(0.3 * (A + su3.tau(A)))
+    assert not factorization._grade_split(LoopMatrix.constant(u, twisted=True))
+    assert not factorization._grade_split(LoopMatrix.constant(np.eye(3), twisted=False))
+    assert factorization._grade_split(clifford_minus(Z))

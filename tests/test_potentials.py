@@ -293,10 +293,19 @@ def test_schema_kind_field_rules():
         assert err.value.path == path
     with pytest.raises(SchemaError):
         spec_from_dict({"kind": "rotational", "m": True, "a": [[1, 0]], "b": []})
+    # entries near the float limit overflow both the twist residual and its tolerance
+    with pytest.raises(SchemaError) as err:
+        spec_from_dict(_overflowing_degree_one(1e308))
+    assert err.value.path == "d"
 
 
 def _encode(matrix):
     return [[[v.real, v.imag] for v in row] for row in matrix.tolist()]
+
+
+def _overflowing_degree_one(scale):
+    a = scale * su3.A_CLIFFORD
+    return {"kind": "constant_degree_one", "d": {"-1": _encode(a), "1": _encode(su3.tau(a))}}
 
 
 _NUMBER = st.integers(-3, 5) | st.floats(-3, 3) | st.floats()
@@ -338,6 +347,7 @@ def _spec_docs(draw):
 @example({"kind": "vacuum", "a": 0, "b": 0})
 @example({"kind": "radial_monomial", "k": 0, "n": 0, "a_k": 1e100, "b_n": 1e300})
 @example({"kind": "normalized", "a": [1e200], "b": [1]})
+@example(_overflowing_degree_one(1e308))
 def test_spec_from_dict_raises_only_typed_errors(doc):
     try:
         spec, run = spec_from_dict(doc)
@@ -345,6 +355,7 @@ def test_spec_from_dict_raises_only_typed_errors(doc):
         return
     assert spec.kind == doc["kind"]
     assert spec.psi0 is None or cmath.isfinite(spec.psi0)
+    assert spec.d_matrix is None or math.isfinite(spec.d_matrix.wiener_norm())
     assert set(run) <= {"trunc", "grid", "lambda", "tol"}
 
 
