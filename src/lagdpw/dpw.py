@@ -144,7 +144,12 @@ def integrate_frame(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
     boundary coefficient exceeds 1e-6 of the peak.
     """
     if spec.kind == "constant_degree_one":
-        return loop_exp(loop_scale(spec.d_matrix, z - spec.base_point), trunc)
+        with np.errstate(all="ignore"):  # overflow surfaces as PoleOnPath below
+            try:
+                return loop_exp(loop_scale(spec.d_matrix, z - spec.base_point), trunc)
+            except ValueError as exc:  # LoopMatrix refuses non-finite coefficients
+                raise PoleOnPath(
+                    f"non-finite loop exponential at z = {complex(z)}") from exc
 
     if isinstance(spec.a_fn, Poly) and isinstance(spec.b_fn, Poly):
         stack = _picard_stack(spec.a_fn, spec.b_fn, complex(spec.base_point), trunc)

@@ -54,7 +54,7 @@ class DomainError(LagdpwError):
 
 
 class SeedTooLarge(LagdpwError):
-    """Dual-seed consistency check failed: asymptotic seed outside its range."""
+    """Dual-seed check failed or the seed is not finite: s0 outside the seed's range."""
 
 
 class NotRadialPIII(LagdpwError):

@@ -11,10 +11,20 @@ l = (2k+n+3)/2, j l = (1-2k-n)/2, turns it into the degenerate Painleve III
     h.. = h.^2/h - h./s - (16/(2k+n+3)^2) h^2/s + (16 |psi_0|^2/(2k+n+3)^2) / h.
 
 Near s = 0 the branch coming from a potential with leading coefficient a_k
-obeys log h(s) ~ c log s + 2 log|a_k| + o(s) with c = (2k-n+1)/(2k+n+3);
-seeding the integration with exactly that power law singles out the unique
-entire-surface solution.  For k = n = 0, |psi_0| = |a_k| = 1 the solution is
-h(s) = s^{1/3} exactly.
+is h = |a_k|^2 s^c e^{v(x)} with c = (2k-n+1)/(2k+n+3) and x = s^{2/l} = r^2,
+where v = sum_{m>=1} c_m x^m, v(0) = 0, solves
+
+    (x v')' = -|a_k|^2 x^k e^v + |psi_0|^2 |a_k|^-4 x^n e^{-2v}.
+
+The leading term is the power law |a_k|^2 s^c, but log h = c log s
++ 2 log|a_k| + o(s) holds only for k = n = 0 (first correction of order
+s^{4/3}); in general the first correction is of order
+x^{1+min(k,n)} = s^{2(1+min(k,n))/l}, for radial_k1 (k = 1, n = 0) s^{4/5}.
+The integration is therefore seeded from SERIES_TERMS terms of the series
+(``series_seed``; ``asymptotic_seed`` is its leading term), which singles
+out the unique entire-surface solution, and runs scipy's DOP853, the
+order-8 Dormand-Prince pair.  For k = n = 0, |psi_0| = |a_k| = 1 every c_m
+vanishes and h(s) = s^{1/3} exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .potentials import PotentialSpec
 
 BLOWUP_LOW = 1e-8
 BLOWUP_HIGH = 1e8
+SERIES_TERMS = 12  # terms of v = sum c_m x^m behind series_seed
 
 
 @dataclass(frozen=True)
@@ -91,6 +102,65 @@ def asymptotic_seed(params: PainleveParams, s0: float = 1e-3):
     return h0, c * h0 / s0
 
 
+def series_coefficients(params: PainleveParams) -> list[float]:
+    """[c_0 = 0, c_1, ..., c_SERIES_TERMS] of v(x) = sum c_m x^m.
+
+    Here e^u = |a_k|^2 x^k e^v with x = r^2, and
+    (x v')' = -|a_k|^2 x^k e^v + |psi0|^2 |a_k|^-4 x^n e^{-2v} with v(0) = 0
+    gives m^2 c_m = [x^{m-1}] of the right side.  That coefficient needs
+    e^v and e^{-2v} only up to x^{m-1}, which c_1..c_{m-1} fix through the
+    series exponential i E_i = sum_j j a_j E_{i-j}.
+    """
+    # products, not powers: on Python floats they overflow to inf, never raise
+    a = params.ak_abs * params.ak_abs
+    q = params.psi0_abs / params.ak_abs / params.ak_abs
+    b = q * q
+    cs = [0.0]
+    exp_v, exp_m2v = [1.0], [1.0]
+    for m in range(1, SERIES_TERMS + 1):
+        i = m - 1
+        if i:
+            acc = sum(j * cs[j] * exp_v[i - j] for j in range(1, m))
+            exp_v.append(acc / i)
+            acc = sum(j * cs[j] * exp_m2v[i - j] for j in range(1, m))
+            exp_m2v.append(-2.0 * acc / i)
+        rhs = 0.0
+        if i >= params.k:
+            rhs -= a * exp_v[i - params.k]
+        if i >= params.n:
+            rhs += b * exp_m2v[i - params.n]
+        cs.append(rhs / (m * m))
+    return cs
+
+
+def series_seed(params: PainleveParams, s0: float):
+    """(h0, h_dot0) from h = |a_k|^2 s^c e^{v(x)}, x = s^{2/l}.
+
+    h. = (h/s)(c + (2/l) x v'(x)); the series is summed by Horner.  Raises
+    DomainError unless 0 < s0 < inf, and SeedTooLarge when the seed is not a
+    finite positive number.
+    """
+    if not 0.0 < s0 < math.inf:
+        raise DomainError(f"the seed needs 0 < s0 < inf, got s0={s0}")
+    c = float(params.slope)
+    two_over_l = 2.0 / float(params.l)
+    cs = series_coefficients(params)
+    try:
+        x = s0 ** two_over_l
+        v = xdv = 0.0
+        for m in range(len(cs) - 1, 0, -1):
+            v = (v + cs[m]) * x
+            xdv = (xdv + m * cs[m]) * x
+        h0 = params.ak_abs * params.ak_abs * s0 ** c * math.exp(v)
+        hd0 = h0 / s0 * (c + two_over_l * xdv)
+    except OverflowError:
+        h0 = hd0 = math.inf
+    if not (0.0 < h0 < math.inf and math.isfinite(hd0)):
+        raise SeedTooLarge(f"series seed at s0={s0} is not finite and positive: "
+                           f"h0={h0}, h_dot0={hd0}")
+    return h0, hd0
+
+
 @dataclass(frozen=True)
 class PainleveSolution:
     s_samples: np.ndarray
@@ -109,9 +179,16 @@ class PainleveSolution:
 
 def _integrate(params, s0, s_max, tol):
     from scipy.integrate import solve_ivp  # not at module level: only PIII solves need it
+    c = params.coeff
+    c_psi = c * params.psi0_abs * params.psi0_abs
+
     def rhs(s, y):
-        h, hd = y
-        return [hd, piii_rhs(s, h, hd, params)]
+        """piii_rhs on Python floats: no numpy reductions, no overflow warnings."""
+        s = float(s)
+        h, hd = y.tolist()
+        if s <= 0 or h <= 0:
+            raise DomainError(f"piii_rhs needs s > 0 and h > 0, got s={s}, h={h}")
+        return [hd, hd * hd / h - hd / s - c * h * h / s + c_psi / h]
 
     def low(s, y):
         return y[0] - BLOWUP_LOW
@@ -121,26 +198,26 @@ def _integrate(params, s0, s_max, tol):
 
     low.terminal = True
     high.terminal = True
-    y0 = asymptotic_seed(params, s0)
-    sol = solve_ivp(rhs, (s0, s_max), y0, method="RK45", rtol=tol,
+    y0 = series_seed(params, s0)
+    sol = solve_ivp(rhs, (s0, s_max), y0, method="DOP853", rtol=tol,
                     atol=tol * 1e-2, dense_output=True, events=[low, high])
     return sol
 
 
 def solve_piii(params: PainleveParams, s_max: float = 10.0, tol: float = 1e-10,
                s0: float = 1e-3, n_samples: int = 400) -> PainleveSolution:
-    """Integrate from the asymptotic seed at s0; dual-seed guarded.
+    """Integrate by DOP853 from the series seed at s0; dual-seed guarded.
 
     A second integration seeded at s0/2 must agree with the first within
-    100*tol where both exist, otherwise the seed sits outside the validity
-    range of the leading-order asymptotics and SeedTooLarge is raised.
-    Blow-up (h below 1e-8 or above 1e8) terminates the solution early and is
-    recorded in blowup_at.
+    100*tol where both exist, otherwise s0 sits outside the range where
+    SERIES_TERMS terms of the seed series are accurate and SeedTooLarge is
+    raised.  Blow-up (h below 1e-8 or above 1e8) terminates the solution
+    early and is recorded in blowup_at.
     """
     if s_max < s0:
         raise ValueError("s_max must be >= s0")
     if s_max == s0:
-        h0, hd0 = asymptotic_seed(params, s0)
+        h0, hd0 = series_seed(params, s0)
         dense = lambda s: np.vstack(
             [np.full_like(np.asarray(s, dtype=float), h0),
              np.full_like(np.asarray(s, dtype=float), hd0)])
@@ -151,22 +228,24 @@ def solve_piii(params: PainleveParams, s_max: float = 10.0, tol: float = 1e-10,
     check = _integrate(params, s0 / 2, s_max, tol)
     s_hi = min(main.t[-1], check.t[-1])
     probe = np.geomspace(s0, s_hi, 64)
-    gap = float(np.max(np.abs(main.sol(probe)[0] - check.sol(probe)[0])))
-    scale = float(np.max(np.abs(main.sol(probe)[0])))
+    h_main = main.sol(probe)[0]
+    gap = float(np.max(np.abs(h_main - check.sol(probe)[0])))
+    scale = float(np.max(np.abs(h_main)))
     if gap > 100 * tol * max(scale, 1.0):
         raise SeedTooLarge(
             f"seeds at s0 and s0/2 disagree by {gap:.3e}; shrink s0")
 
     blowup = float(main.t[-1]) if main.status == 1 else None
     s = np.geomspace(s0, main.t[-1], n_samples)
-    vals = main.sol(s)
-    h, h_dot = vals[0], vals[1]
     # residual of the dense output against the ODE: differentiate the dense
-    # h_dot locally and compare with the rhs; the maximum is taken over the
-    # interior samples, normalized by the term scale (the rhs itself
-    # diverges like s^{c-2} towards 0)
+    # h_dot locally (s and s +- ds in one dense call) and compare with the
+    # rhs; the maximum is taken over the interior samples, normalized by the
+    # term scale (the rhs itself diverges like s^{c-2} towards 0)
     ds = 1e-4 * s
-    hdd = (main.sol(s + ds)[1] - main.sol(s - ds)[1]) / (2 * ds)
+    n = s.size
+    vals = main.sol(np.concatenate([s, s + ds, s - ds]))
+    h, h_dot = vals[0, :n], vals[1, :n]
+    hdd = (vals[1, n:2 * n] - vals[1, 2 * n:]) / (2 * ds)
     residual = np.abs(hdd - piii_rhs(s, h, h_dot, params))
     c = params.coeff
     scale = 1.0 + np.abs(h_dot ** 2 / h) + np.abs(h_dot / s) + c * h ** 2 / s \
@@ -195,9 +274,10 @@ def crosscheck(spec: PotentialSpec, s_range=(1e-3, 5.0), tol: float = 1e-10,
     h_DPW comes from metric extraction along a radial ray through the full
     integrate + Iwasawa pipeline; h_PIII from integrating the Painleve
     equation with the matching parameters.  The two computations share
-    nothing but the potential coefficients.  The seed sits at a much smaller
-    s0 than the comparison range so the neglected o(s) of the asymptotics
-    stays below tol.
+    nothing but the potential coefficients: the series seed is built from
+    |a_k| and |psi_0| alone.  It sits at an s0 far below the comparison range,
+    where the terms it drops (x^{SERIES_TERMS+1} and beyond, x = s^{2/l}) are
+    far below tol.
     """
     from .dpw import surface_sample
 
@@ -217,27 +297,23 @@ def crosscheck(spec: PotentialSpec, s_range=(1e-3, 5.0), tol: float = 1e-10,
 
 def polar_tzitzeica_residual(params: PainleveParams, sol: PainleveSolution,
                              n_probe: int = 200) -> float:
-    """max |u'' + u'/r + 4 e^u - 4 |psi|^2 e^{-2u}| for u rebuilt from h."""
+    """max |u'' + u'/r + 4 e^u - 4 |psi|^2 e^{-2u}| for u rebuilt from h.
+
+    u and u' come from the dense (h, h_dot) pair without differencing; u'' is
+    a central difference of u', with r and r +- dr in one dense call.
+    """
     l = float(params.l)
     jl = float(params.j * params.l)
     s = np.geomspace(max(sol.s_samples[0] * 4, 0.05), sol.s_samples[-1] * 0.9,
                      n_probe)
     r = s ** (1.0 / l)
-
-    def u_and_du(rv):
-        """u(r) and u'(r) from the dense (h, h_dot) pair (no differencing)."""
-        sv = rv ** l
-        h, hd = sol.dense(np.atleast_1d(sv))[:, 0]
-        u = math.log(h) - jl * math.log(rv)
-        du = (hd / h) * l * rv ** (l - 1.0) - jl / rv
-        return u, du
-
-    worst = 0.0
-    for rv in r:
-        dr = 5e-4
-        u0, up = u_and_du(rv)
-        upp = (u_and_du(rv + dr)[1] - u_and_du(rv - dr)[1]) / (2 * dr)
-        psi_abs = params.psi0_abs * rv ** (2 * params.k + params.n)
-        res = upp + up / rv + 4 * math.exp(u0) - 4 * psi_abs ** 2 * math.exp(-2 * u0)
-        worst = max(worst, abs(float(res)))
-    return worst
+    dr = 5e-4
+    rr = np.concatenate([r, r + dr, r - dr])
+    h, hd = sol.dense(rr ** l)
+    u = np.log(h) - jl * np.log(rr)
+    du = (hd / h) * l * rr ** (l - 1.0) - jl / rr
+    n = r.size
+    upp = (du[n:2 * n] - du[2 * n:]) / (2 * dr)
+    psi_abs = params.psi0_abs * r ** (2 * params.k + params.n)
+    res = upp + du[:n] / r + 4 * np.exp(u[:n]) - 4 * psi_abs ** 2 * np.exp(-2 * u[:n])
+    return float(np.max(np.abs(res), initial=0.0))

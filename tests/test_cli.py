@@ -80,11 +80,19 @@ def test_painleve_exact_case(tmp_path):
 
 
 def test_painleve_seed_guard_exit_code(tmp_path):
-    proc = run_cli("painleve", "--psi0", "2.0", "--s0", "1e-3",
+    # s0 = 0.5 lies beyond the radius where the seed series is accurate
+    proc = run_cli("painleve", "--psi0", "2.0", "--s0", "0.5",
                    "--out", str(tmp_path / "x"))
     assert proc.returncode == 3
     msg = json.loads(proc.stdout)
     assert msg["error"] == "SeedTooLarge"
+
+
+@pytest.mark.parametrize("s0", ["0", "-1e-3", "nan"])
+def test_painleve_nonpositive_s0_is_domain_error(tmp_path, s0):
+    proc = run_cli("painleve", f"--s0={s0}", "--out", str(tmp_path / "x"))
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == "DomainError"
 
 
 def test_closing_command():
@@ -116,10 +124,17 @@ def test_schema_error_exit_code(tmp_path):
     assert doc["error"] == "SchemaError"
 
 
-# 1e308 * A_CLIFFORD and its tau image: the twist check overflows
-_BIG, _NIL = [0.0, 1e308], [0.0, 0.0]
-_OVERFLOWING_D = {"-1": [[_NIL, _NIL, _BIG], [_BIG, _NIL, _NIL], [_NIL, _BIG, _NIL]],
-                  "1": [[_NIL, _BIG, _NIL], [_NIL, _NIL, _BIG], [_BIG, _NIL, _NIL]]}
+_NIL = [0.0, 0.0]
+
+
+def _clifford_d(x):
+    """JSON "d" field {-1: x A_CLIFFORD, 1: tau(x A_CLIFFORD)} for a complex x."""
+    return {"-1": [[_NIL, _NIL, x], [x, _NIL, _NIL], [_NIL, x, _NIL]],
+            "1": [[_NIL, x, _NIL], [_NIL, _NIL, x], [x, _NIL, _NIL]]}
+
+
+# 1e308 i * A_CLIFFORD and its tau image: the twist check overflows
+_OVERFLOWING_D = _clifford_d([0.0, 1e308])
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -214,6 +229,22 @@ def test_build_with_every_node_failed_exits_3(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["error"] == "NoNodeSolved"
     assert "TruncationOverflow" in doc["message"]
+
+
+def test_constant_degree_one_overflow_is_pole_on_path(tmp_path):
+    # 1e307 keeps the Wiener norm finite, so the spec loads; exp(z D) then
+    # overflows at every node, which must fail typed and without warnings
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "constant_degree_one",
+                                "d": _clifford_d([0.0, 1e307])}))
+    proc = run_cli("build", "--spec", str(spec),
+                   "--grid", '{"kind":"polar","r_max":1.0,"n_r":1,"n_theta":2}',
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "NoNodeSolved"
+    assert "PoleOnPath" in doc["message"]
+    assert proc.stderr == ""
 
 
 def test_grid_node_cap_is_schema_error(tmp_path):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import bundled_spec
 from lagdpw.errors import DomainError, NotRadialPIII, SeedTooLarge
 from lagdpw.painleve import (PainleveParams, asymptotic_seed, crosscheck,
                              metric_to_h, piii_rhs, polar_tzitzeica_residual,
-                             solve_piii)
+                             series_coefficients, series_seed, solve_piii)
 from lagdpw.potentials import (Poly, clifford_spec, normalized_spec,
                                radial_monomial_spec)
 
@@ -66,6 +68,34 @@ def test_asymptotic_seed_examples():
     assert h0 == pytest.approx((1e-3) ** (3.0 / 5.0))
 
 
+def test_series_seed_exact_case():
+    # |psi0| = |a_k| = 1, k = n = 0: both sides of m^2 c_m = [x^{m-1}] cancel
+    assert series_coefficients(P00) == [0.0] * 13
+    for s0 in (1e-7, 1e-3, 0.1):
+        h0, hd0 = series_seed(P00, s0)
+        assert h0 == s0 ** (1.0 / 3.0)
+        assert hd0 == pytest.approx(s0 ** (-2.0 / 3.0) / 3.0, rel=1e-14)
+
+
+def test_series_seed_leading_term_is_asymptotic_seed():
+    p = PainleveParams(1, 0, 1.0, 1.3)
+    for s0 in (1e-12, 1e-9):
+        assert series_seed(p, s0)[0] == pytest.approx(asymptotic_seed(p, s0)[0], rel=1e-6)
+
+
+def test_series_seed_rejects_unusable_input():
+    with pytest.raises(DomainError):
+        series_seed(P00, 0.0)
+    with pytest.raises(DomainError):
+        series_seed(P00, math.nan)
+    # |a_k|^2 underflows and |psi0|/|a_k|^2 overflows: the seed is not finite
+    with pytest.raises(SeedTooLarge):
+        series_seed(PainleveParams(0, 0, 1.0, 1e-200), 1e-3)
+    # |a_k|^2 overflows
+    with pytest.raises(SeedTooLarge):
+        series_seed(PainleveParams(0, 0, 1.0, 1e200), 1e-3)
+
+
 def test_solve_exact_case():
     sol = solve_piii(P00, s_max=10.0, tol=1e-10)
     assert np.max(np.abs(sol.h - exact_h(sol.s_samples))) < 1e-6
@@ -100,11 +130,28 @@ def test_asymptotics_recovery_by_fit():
 
 
 def test_dual_seed_guard_detects_asymptotics_misuse():
-    # |psi0| = 2 at s0 = 1e-3: the neglected o(s) term is ~1e-3, far above
-    # the integration tolerance: the guard must fire
+    # |psi0| = 2 at s0 = 0.5: beyond the radius where SERIES_TERMS terms of
+    # the seed series are accurate (the seeds at s0 and s0/2 agree up to
+    # s0 = 0.1), so the neglected tail is far above tol: the guard must fire
     p = PainleveParams(0, 0, 2.0, 1.0)
     with pytest.raises(SeedTooLarge):
-        solve_piii(p, s_max=5.0, tol=1e-10, s0=1e-3)
+        solve_piii(p, s_max=5.0, tol=1e-10, s0=0.5)
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(0, 2), n=st.integers(0, 2),
+       psi0=st.floats(0.5, 2.0), ak=st.floats(0.5, 2.0))
+def test_series_seed_is_stable_under_shrinking_s0(k, n, psi0, ak):
+    # the series seed is accurate at both seeds, so neither trips the guard
+    # and the two solutions agree where both exist, on the guard's scale
+    p = PainleveParams(k, n, psi0, ak)
+    tol = 1e-10
+    sol_a = solve_piii(p, s_max=5.0, tol=tol, s0=1e-6)
+    sol_b = solve_piii(p, s_max=5.0, tol=tol, s0=1e-7)
+    probe = np.geomspace(1e-6, min(sol_a.s_samples[-1], sol_b.s_samples[-1]), 64)
+    h_a = sol_a.interp(probe)
+    gap = np.max(np.abs(h_a - sol_b.interp(probe)))
+    assert gap <= 100 * tol * max(float(np.max(np.abs(h_a))), 1.0)
 
 
 def test_uniqueness_two_seeds_agree():
@@ -132,6 +179,13 @@ def test_crosscheck_unequal_ab():
     assert crosscheck(spec, (1e-3, 5.0), trunc=36) < 1e-4
 
 
+def test_crosscheck_radial_k1():
+    # k = 1: the first correction to the leading power law is O(s^{4/5}),
+    # which only the series seed captures
+    spec, _ = bundled_spec("radial_k1")
+    assert crosscheck(spec, (1e-3, 5.0), trunc=36) < 1e-4
+
+
 def test_crosscheck_rejects_zero_psi():
     rp2 = normalized_spec(Poly.of(1.0), Poly.of(0.0))
     with pytest.raises(NotRadialPIII):
@@ -142,3 +196,24 @@ def test_polar_tzitzeica_consistency():
     p = PainleveParams(0, 0, 2.0, 1.0)
     sol = solve_piii(p, s_max=5.0, tol=1e-10, s0=1e-7)
     assert polar_tzitzeica_residual(p, sol) < 1e-4
+
+
+def test_polar_tzitzeica_residual_matches_scalar_loop():
+    # reference: the residual radius by radius, one dense call per point
+    p = PainleveParams(1, 0, 1.0, 1.0)
+    sol = solve_piii(p, s_max=5.0, tol=1e-10, s0=1e-7)
+    l, jl = float(p.l), float(p.j * p.l)
+    s = np.geomspace(max(sol.s_samples[0] * 4, 0.05), sol.s_samples[-1] * 0.9, 50)
+
+    def u_and_du(rv):
+        h, hd = sol.dense(np.atleast_1d(rv ** l))[:, 0]
+        return math.log(h) - jl * math.log(rv), (hd / h) * l * rv ** (l - 1.0) - jl / rv
+
+    worst = 0.0
+    for rv in s ** (1.0 / l):
+        u0, up = u_and_du(rv)
+        upp = (u_and_du(rv + 5e-4)[1] - u_and_du(rv - 5e-4)[1]) / 1e-3
+        psi_abs = p.psi0_abs * rv ** (2 * p.k + p.n)
+        worst = max(worst, abs(upp + up / rv + 4 * math.exp(u0)
+                               - 4 * psi_abs ** 2 * math.exp(-2 * u0)))
+    assert polar_tzitzeica_residual(p, sol, n_probe=50) == pytest.approx(worst, rel=1e-9)
