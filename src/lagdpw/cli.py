@@ -139,11 +139,8 @@ def parse_spec(path):
 def _load_config(args):
     spec, run = parse_spec(args.spec)
     trunc = args.trunc if args.trunc is not None else run.get("trunc", dpw.DEFAULT_TRUNC)
-    tol = args.tol if args.tol is not None else run.get("tol", dpw.DEFAULT_TOL)
     if trunc < 4:
         raise SchemaError("trunc", "must be >= 4")
-    if not 0 < tol <= 1e-4:
-        raise SchemaError("tol", "must lie in (0, 1e-4]")
     if args.grid is not None:
         grid = dpw.GridSpec.from_dict(json.loads(args.grid))
     elif "grid" in run:
@@ -154,15 +151,15 @@ def _load_config(args):
         lambdas = _parse_lambdas(args.lam)
     else:
         lambdas = run.get("lambda", [1.0 + 0.0j])
-    return spec, grid, lambdas, trunc, tol
+    return spec, grid, lambdas, trunc
 
 
 def _cmd_build(args) -> int:
-    spec, grid, lambdas, trunc, tol = _load_config(args)
+    spec, grid, lambdas, trunc = _load_config(args)
     formats = set(args.fmt.split(","))
     if not formats <= {"csv", "json", "obj"}:
         raise SchemaError("format", f"expected a subset of csv,json,obj, got {args.fmt!r}")
-    samples, field, failures = dpw.grid_sample(spec, grid, lambdas, trunc, tol)
+    samples, field, failures = dpw.grid_sample(spec, grid, lambdas, trunc)
     if failures and not field.points:
         z, exc = failures[0]
         raise NoNodeSolved(f"all {len(failures)} grid nodes failed; first at "
@@ -184,7 +181,6 @@ def _cmd_build(args) -> int:
             "max_iwasawa_residual": max((s.residual for s in samples), default=0.0),
             "max_tail_norm": max((s.tail for s in samples), default=0.0),
             "trunc": trunc,
-            "tol": tol,
         }
         _write_report(out / "report.json", report)
     if "obj" in formats:
@@ -203,8 +199,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec, grid, lambdas, trunc, tol = _load_config(args)
-    surf = dpw.PipelineSurface(spec, lambdas[0], trunc, tol)
+    spec, grid, lambdas, trunc = _load_config(args)
+    surf = dpw.PipelineSurface(spec, lambdas[0], trunc)
     nodes = [z for z in grid.nodes() if abs(z) > 1e-9]
     report = geometry.certify(surf, nodes, h=args.h)
     doc = json.loads(report.to_json())
@@ -227,8 +223,7 @@ def _cmd_painleve(args) -> int:
         params = painleve.PainleveParams.from_spec(spec)
     else:
         params = painleve.PainleveParams(args.k, args.n, args.psi0, args.ak)
-    sol = painleve.solve_piii(params, s_max=args.smax,
-                              tol=args.tol if args.tol else 1e-10, s0=args.s0)
+    sol = painleve.solve_piii(params, s_max=args.smax, tol=args.tol, s0=args.s0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["s,h,h_dot,residual"]
@@ -256,7 +251,7 @@ def _cmd_closing(args) -> int:
 
 
 def _cmd_symmetry(args) -> int:
-    spec, grid, lambdas, trunc, tol = _load_config(args)
+    spec, grid, lambdas, trunc = _load_config(args)
     result = {"spec_kind": spec.kind}
     nodes = [z for z in grid.nodes() if 0.05 < abs(z) < 0.9 * max(
         grid.r_max if grid.kind == "polar" else grid.extent, 1.0)][:12]
@@ -296,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", default=None,
                        help="comma-separated S^1 values, e.g. '1,0.707+0.707j'")
         p.add_argument("--trunc", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None,
-                       help="frame ODE tolerance in (0, 1e-4]; acts only on callable "
-                       "potential slots, so no schema-built spec depends on it")
         p.add_argument("--out", default="out")
 
     pb = sub.add_parser("build", help="sample the surface over a grid")
@@ -322,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--ak", type=float, default=1.0, help="|a_k|")
     pp.add_argument("--smax", type=float, default=10.0)
     pp.add_argument("--s0", type=float, default=1e-3)
-    pp.add_argument("--tol", type=float, default=None)
+    pp.add_argument("--tol", type=float, default=1e-10,
+                    help="PIII solver tolerance, finite and > 0")
     pp.add_argument("--out", default="out")
     pp.set_defaults(func=_cmd_painleve)
 

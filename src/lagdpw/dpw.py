@@ -2,12 +2,11 @@
 and extraction of the immersion data.
 
 From a potential eta the holomorphic frame solves dC = C eta, C(0, .) = I.
-eta only lowers the lambda-degree, so for polynomial slots every Laurent
-coefficient of C is a matrix polynomial in z, computed exactly once per
-potential (the Picard stack); callable slots are integrated coefficientwise
-by an embedded Dormand-Prince 4(5) pair, the only place ``tol`` acts.  The
-unique Iwasawa split C = F V_+ yields the extended frame F (unitary,
-twisted) and the plus factor V_+.  Per point, the immersion data are
+eta only lowers the lambda-degree and its slots are polynomials, so every
+Laurent coefficient of C is a matrix polynomial in z, computed exactly once
+per potential (the Picard stack) and evaluated by Horner, with no step
+size and no tolerance.  The unique Iwasawa split C = F V_+ yields the
+extended frame F (unitary, twisted) and the plus factor V_+.  Per point, the immersion data are
 
     lift     f = F(z, lambda_0) e_3  in S^5,
     metric   e^{u/2} = |eta_{-1}(z)_{13} * v_0|,  v_0 = V_+(lambda=0)_{11},
@@ -37,54 +36,11 @@ from .loops import LoopMatrix, loop_exp, loop_scale
 from .potentials import Poly, PotentialSpec, is_finite_number
 
 DEFAULT_TRUNC = 16
-DEFAULT_TOL = 1e-10
 METRIC_FLOOR = 1e-10
 MAX_GRID_NODES = 100_000
 PICARD_CACHE_SIZE = 32
 
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
-
-# Dormand-Prince 4(5) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def _rk45(deriv, y0: np.ndarray, length: float, tol: float) -> np.ndarray:
-    """Adaptive DP45 over t in [0,1]; local error kept near tol*h per step."""
-    y = y0.copy()
-    t = 0.0
-    h = min(1.0, 0.5 / max(length, 1e-12))
-    while t < 1.0:
-        h = min(h, 1.0 - t)
-        ks = []
-        for i in range(7):
-            yi = y
-            for a, k in zip(_DP_A[i], ks):
-                yi = yi + (h * a) * k
-            ks.append(deriv(t + _DP_C[i] * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
-        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0)
-        err = float(np.max(np.abs(y5 - y4)))
-        if not np.isfinite(err):
-            raise PoleOnPath("non-finite values while integrating the frame ODE")
-        budget = tol * h * length  # local error <= tol per unit path length
-        if err <= budget or h <= 1e-13:
-            t += h
-            y = y5
-        factor = 0.9 * (budget / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return y
 
 
 def _horner(stack: np.ndarray, z: complex) -> np.ndarray:
@@ -125,20 +81,17 @@ def _picard_stack(a_fn: Poly, b_fn: Poly, base_point: complex, trunc: int) -> np
     return stack
 
 
-def integrate_frame(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
-                    tol: float = DEFAULT_TOL, path=None) -> LoopMatrix:
+def integrate_frame(spec: PotentialSpec, z: complex,
+                    trunc: int = DEFAULT_TRUNC) -> LoopMatrix:
     """Holomorphic frame C(z, .) solving dC = C eta, C(base, .) = I.
 
     eta = lambda^{-1} A(z) dz only lowers the lambda-degree, so on degrees
     -trunc..0 the frame is the finite Picard sum C_0 = I,
-    C_{-k}(z) = int_base^z C_{-(k-1)} A dw.  When both slots are Poly each
-    C_{-k} is an exact matrix polynomial (``_picard_stack``), evaluated at z
-    by Horner; ``tol`` and ``path`` are then unused, because the integral of
-    a holomorphic form does not depend on the path.  Callable slots are
-    integrated by adaptive Dormand-Prince along the straight segment from
-    the base point, or along the polygonal ``path`` of waypoints ending at
-    z, with local error ``tol`` per unit path length.  Constant degree-one
-    potentials integrate exactly to exp(z D(lambda)).
+    C_{-k}(z) = int_base^z C_{-(k-1)} A dw.  The slots are polynomials, so
+    each C_{-k} is an exact matrix polynomial (``_picard_stack``), evaluated
+    at z by Horner; the integral of a holomorphic form does not depend on
+    the path.  Constant degree-one potentials integrate exactly to
+    exp(z D(lambda)).
 
     Raises PoleOnPath on non-finite values and TruncationOverflow when the
     boundary coefficient exceeds 1e-6 of the peak.
@@ -151,14 +104,11 @@ def integrate_frame(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
                 raise PoleOnPath(
                     f"non-finite loop exponential at z = {complex(z)}") from exc
 
-    if isinstance(spec.a_fn, Poly) and isinstance(spec.b_fn, Poly):
-        stack = _picard_stack(spec.a_fn, spec.b_fn, complex(spec.base_point), trunc)
-        with np.errstate(all="ignore"):
-            y = _horner(stack, complex(z))
-        if not np.all(np.isfinite(y)):
-            raise PoleOnPath(f"non-finite frame coefficients at z = {complex(z)}")
-    else:
-        y = _integrate_rk45(spec, z, trunc, tol, path)
+    stack = _picard_stack(spec.a_fn, spec.b_fn, complex(spec.base_point), trunc)
+    with np.errstate(all="ignore"):
+        y = _horner(stack, complex(z))
+    if not np.all(np.isfinite(y)):
+        raise PoleOnPath(f"non-finite frame coefficients at z = {complex(z)}")
 
     frame = LoopMatrix(y, -trunc, twisted=True)
     boundary = frame.tail_norm(trunc)
@@ -167,29 +117,6 @@ def integrate_frame(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
         raise TruncationOverflow(
             f"boundary coefficient {boundary:.3e} vs peak {peak:.3e} at trunc={trunc}")
     return frame.trim(0.0)
-
-
-def _integrate_rk45(spec: PotentialSpec, z: complex, trunc: int, tol: float,
-                    path) -> np.ndarray:
-    """The stack of degrees -trunc..0 by DP45 along the waypoints to z."""
-    waypoints = [spec.base_point] + (list(path) if path else []) + [z]
-    y = np.zeros((trunc + 1, 3, 3), dtype=complex)
-    y[-1] = np.eye(3)
-
-    for za, zb in zip(waypoints[:-1], waypoints[1:]):
-        dz = zb - za
-        if dz == 0:
-            continue
-
-        def deriv(t, c, za=za, dz=dz):
-            a = spec.coefficient_matrix(za + t * dz) * dz
-            out = np.empty_like(c)
-            out[:-1] = c[1:] @ a  # multiplication by lambda^{-1} a
-            out[-1] = 0.0
-            return out
-
-        y = _rk45(deriv, y, abs(dz), tol)
-    return y
 
 
 @dataclass(frozen=True)
@@ -209,9 +136,8 @@ class FrameField:
     trunc: int
 
 
-def frame_point(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC,
-                tol: float = DEFAULT_TOL) -> FramePoint:
-    c = integrate_frame(spec, z, trunc, tol)
+def frame_point(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC) -> FramePoint:
+    c = integrate_frame(spec, z, trunc)
     fac: IwasawaFactors = iwasawa(c, trunc)
     return FramePoint(z=complex(z), c_frame=c, frame=fac.unitary,
                       v_plus=fac.v_plus, residual=fac.residual,
@@ -254,8 +180,8 @@ def sample_from_frame(spec: PotentialSpec, fp: FramePoint,
 
 
 def surface_sample(spec: PotentialSpec, z: complex, lambda0: complex = 1.0,
-                   trunc: int = DEFAULT_TRUNC, tol: float = DEFAULT_TOL) -> SurfaceSample:
-    return sample_from_frame(spec, frame_point(spec, z, trunc, tol), lambda0)
+                   trunc: int = DEFAULT_TRUNC) -> SurfaceSample:
+    return sample_from_frame(spec, frame_point(spec, z, trunc), lambda0)
 
 
 # -- grids ---------------------------------------------------------------------
@@ -313,7 +239,7 @@ class GridSpec:
 
 
 def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
-                trunc: int = DEFAULT_TRUNC, tol: float = DEFAULT_TOL):
+                trunc: int = DEFAULT_TRUNC):
     """Samples for every grid node and lambda_0, plus the frame field.
 
     Nodes are solved in order, so the output is the same on every run.
@@ -328,7 +254,7 @@ def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
     failures = []
     for z in nodes:
         try:
-            fp = frame_point(spec, z, trunc, tol)
+            fp = frame_point(spec, z, trunc)
         except Exception as exc:  # noqa: BLE001 - per-node failures are data
             failures.append((complex(z), exc))
             continue
@@ -387,18 +313,17 @@ class PipelineSurface:
     """
 
     def __init__(self, spec: PotentialSpec, lambda0: complex = 1.0,
-                 trunc: int = DEFAULT_TRUNC, tol: float = DEFAULT_TOL):
+                 trunc: int = DEFAULT_TRUNC):
         self.spec = spec
         self.lambda0 = _normalize_lambda0(lambda0)
         self.trunc = trunc
-        self.tol = tol
         self._points: dict[complex, FramePoint] = {}
 
     def frame_point(self, z: complex) -> FramePoint:
         z = complex(z)
         fp = self._points.get(z)
         if fp is None:
-            fp = frame_point(self.spec, z, self.trunc, self.tol)
+            fp = frame_point(self.spec, z, self.trunc)
             self._points[z] = fp
         return fp
 
@@ -440,7 +365,7 @@ class RP2Surface:
 
 def axis_log_v0(spec: PotentialSpec, radius: float = 1.0, n_radii: int = 14,
                 n_theta: int = 32, fit_degree: int = 12,
-                trunc: int = DEFAULT_TRUNC, tol: float = DEFAULT_TOL):
+                trunc: int = DEFAULT_TRUNC):
     """Polynomial continuation of log v_0(z, zbar) to the axis zbar = 0.
 
     v_0 is real-analytic, so on a circle |z| = rho its log has Fourier modes
@@ -451,8 +376,6 @@ def axis_log_v0(spec: PotentialSpec, radius: float = 1.0, n_radii: int = 14,
 
     Returns the Poly sum_j c_{j,0} z^j (valid on |z| <= radius).
     """
-    from .potentials import Poly
-
     radii = np.geomspace(0.12 * radius, 0.85 * radius, n_radii)
     j_max = min(fit_degree, n_theta // 2 - 1)
     modes = np.zeros((n_radii, j_max + 1), dtype=complex)
@@ -460,7 +383,7 @@ def axis_log_v0(spec: PotentialSpec, radius: float = 1.0, n_radii: int = 14,
         w = np.empty(n_theta)
         for mi in range(n_theta):
             z = rho * np.exp(2j * np.pi * mi / n_theta)
-            fp = frame_point(spec, z, trunc, tol)
+            fp = frame_point(spec, z, trunc)
             w[mi] = math.log(abs(fp.v_plus.coefficient(0)[0, 0]))
         spec_w = np.fft.fft(w) / n_theta  # index j: coefficient of e^{i j theta}
         modes[ri] = spec_w[:j_max + 1]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import su3
-from .errors import GridTooCoarse
+from .errors import DomainError, GridTooCoarse
 from .loops import loop_product, loop_scale, loop_sum
 
 _DOT = lambda a, b: complex(np.sum(a * np.conj(b)))  # Hermitian Z . conj(W)
@@ -51,11 +51,14 @@ class ResidualReport:
 
 
 def fubini_study_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Distance of [u], [v] in CP^2: arccos |<u, v>| for unit lifts."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    c = abs(_DOT(u, v)) / (nu * nv)
-    return float(math.acos(min(c, 1.0)))
+    """Distance of [u], [v] in CP^2: atan2(|v - <v, u> u|, |<v, u>|) for unit lifts.
+
+    Accurate to rounding at both ends; arccos |<u, v>| loses half the digits near 0.
+    """
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    c = _DOT(v, u)
+    return float(math.atan2(np.linalg.norm(v - c * u), abs(c)))
 
 
 def _wirtinger_first(f, z: complex, h: float):
@@ -190,7 +193,9 @@ def integrability_residuals(surface, nodes, h: float = 1e-3):
 
 
 def certify(surface, nodes, h: float = 1e-3, s1_samples: int = 12) -> ResidualReport:
-    """Full residual report over a node list."""
+    """Full residual report over a node list; DomainError unless 0 < h < inf."""
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"the stencil step needs 0 < h < inf, got h={h}")
     rep = structure_residuals(surface, nodes, h, s1_samples)
     tz, cod = integrability_residuals(surface, nodes, h)
     return replace(rep, tzitzeica=tz, codazzi=cod)

@@ -1,7 +1,7 @@
 """Truncated Laurent loops with 3x3 complex matrix coefficients.
 
 A LoopMatrix stores g(lambda) = sum_d lambda^d G_d over a contiguous degree
-window [min_degree, max_degree].  Coefficients are a stacked complex array of
+window [min_degree, max_degree].  The coefficients are a stacked complex array of
 shape (n_degrees, 3, 3).  Values are immutable; every operation allocates.
 
 Twisting conventions (both are checked, neither is silently assumed):
@@ -65,7 +65,7 @@ class LoopMatrix:
         return LoopMatrix(self.coeffs[lo:hi + 1], self.min_degree + lo, self.twisted)
 
     def restrict(self, lo: int, hi: int) -> "LoopMatrix":
-        """Coefficients clipped to the window [lo, hi]."""
+        """The coefficients clipped to the window [lo, hi]."""
         n = hi - lo + 1
         out = np.zeros((n, 3, 3), dtype=complex)
         s_lo = max(lo, self.min_degree)

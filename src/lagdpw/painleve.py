@@ -212,8 +212,12 @@ def solve_piii(params: PainleveParams, s_max: float = 10.0, tol: float = 1e-10,
     100*tol where both exist, otherwise s0 sits outside the range where
     SERIES_TERMS terms of the seed series are accurate and SeedTooLarge is
     raised.  Blow-up (h below 1e-8 or above 1e8) terminates the solution
-    early and is recorded in blowup_at.
+    early and is recorded in blowup_at.  DomainError unless tol is finite
+    and positive and s_max is finite; otherwise the solve need not end.
     """
+    if not (0.0 < tol < math.inf and math.isfinite(s_max)):
+        raise DomainError(f"solve_piii needs 0 < tol < inf and a finite s_max, "
+                          f"got tol={tol}, s_max={s_max}")
     if s_max < s0:
         raise ValueError("s_max must be >= s0")
     if s_max == s0:

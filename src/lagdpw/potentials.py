@@ -28,7 +28,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Union
 
 import numpy as np
 
@@ -80,18 +79,11 @@ class Poly:
         return Poly(tuple(complex(c) for c in coeffs))
 
 
-Coefficient = Union[Poly, Callable[[complex], complex]]
-
-
-def _eval_coeff(f: Coefficient, z: complex) -> complex:
-    return complex(f(z))
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     kind: str
-    a_fn: Coefficient
-    b_fn: Coefficient
+    a_fn: Poly
+    b_fn: Poly
     k: int | None = None
     n: int | None = None
     psi0: complex | None = None
@@ -104,6 +96,9 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        if not (isinstance(self.a_fn, Poly) and isinstance(self.b_fn, Poly)):
+            raise ValueError("potential slots must be Poly: the frame is an exact "
+                             "Picard sum over polynomial slots")
         if self.kind == "constant_degree_one":
             d = self.d_matrix
             if d is None or d.min_degree < -1 or d.max_degree > 1:
@@ -121,12 +116,12 @@ class PotentialSpec:
     def a(self, z: complex) -> complex:
         if self.kind == "constant_degree_one":
             return self.d_matrix.coefficient(-1)[0, 2] / 1j
-        return _eval_coeff(self.a_fn, z)
+        return complex(self.a_fn(z))
 
     def b(self, z: complex) -> complex:
         if self.kind == "constant_degree_one":
             return self.d_matrix.coefficient(-1)[1, 0] / 1j
-        return _eval_coeff(self.b_fn, z)
+        return complex(self.b_fn(z))
 
     def psi(self, z: complex) -> complex:
         """Cubic-form coefficient implied by the potential."""
@@ -151,7 +146,6 @@ class PotentialSpec:
         if self.kind in ("radial_monomial", "vacuum"):
             return True
         return (self.kind == "normalized"
-                and isinstance(self.a_fn, Poly) and isinstance(self.b_fn, Poly)
                 and self.a_fn.degree <= 0 and self.b_fn.degree <= 0)
 
     def monomial_exponents(self) -> tuple[int, int]:
@@ -168,16 +162,14 @@ def clifford_spec() -> PotentialSpec:
                          k=0, n=0, psi0=-1.0 + 0.0j)
 
 
-def normalized_spec(a_fn: Coefficient, b_fn: Coefficient) -> PotentialSpec:
-    k = n = None
-    psi0 = None
-    if isinstance(a_fn, Poly) and isinstance(b_fn, Poly) \
-            and a_fn.degree <= 0 and b_fn.degree <= 0:
-        k = n = 0
-        psi0 = -a_fn(0.0) ** 2 * b_fn(0.0)
-        if not cmath.isfinite(psi0):
-            raise ValueError(f"psi0 = -a^2 b = {psi0} is outside the float range")
-    return PotentialSpec(kind="normalized", a_fn=a_fn, b_fn=b_fn, k=k, n=n, psi0=psi0)
+def normalized_spec(a_fn: Poly, b_fn: Poly) -> PotentialSpec:
+    spec = PotentialSpec(kind="normalized", a_fn=a_fn, b_fn=b_fn)  # checks the slots
+    if not spec.is_radial:
+        return spec
+    psi0 = -a_fn(0.0) ** 2 * b_fn(0.0)
+    if not cmath.isfinite(psi0):
+        raise ValueError(f"psi0 = -a^2 b = {psi0} is outside the float range")
+    return replace(spec, k=0, n=0, psi0=psi0)
 
 
 def constant_degree_one_spec(d_matrix: LoopMatrix) -> PotentialSpec:
@@ -221,24 +213,19 @@ def radial_monomial_spec(k: int, n: int, a_k: complex,
                          gauge_delta=float(delta), coord_scale=s)
 
 
-def wu_potential(u_on_axis, u00: float, psi) -> PotentialSpec:
+def wu_potential(u_on_axis: float, u00: float, psi: Poly) -> PotentialSpec:
     """Normalized potential from axis metric u(z,0) and cubic form psi(z).
 
-    ``u_on_axis`` may be a real constant (metric constant on the axis) or a
-    callable z -> u(z, 0); ``psi`` a Poly or callable.  Constant-u and
-    polynomial-psi inputs produce exact polynomial slots.
+    ``u_on_axis`` is the real constant value of the metric on the axis, and
+    ``psi`` a Poly, so both slots a = e^{u00/2} and b = -psi e^{-u00} are
+    exact polynomials.  A callable ``u_on_axis`` or a non-Poly ``psi`` is a
+    ValueError: the frame takes polynomial slots only.
     """
-    const_u = not callable(u_on_axis)
-    if const_u and abs(complex(u_on_axis) - u00) > 1e-12:
+    if callable(u_on_axis) or not isinstance(psi, Poly):
+        raise ValueError("wu_potential needs a constant u_on_axis and a Poly psi")
+    if abs(complex(u_on_axis) - u00) > 1e-12:
         raise ValueError("u_on_axis(0) must equal u00")
-    if const_u and isinstance(psi, Poly):
-        a_fn = Poly.of(math.exp(u00 / 2))
-        b_fn = psi.scale(-math.exp(-u00))
-        return normalized_spec(a_fn, b_fn)
-    u_fn = (lambda z: complex(u_on_axis)) if const_u else u_on_axis
-    a_fn = lambda z: cmath.exp(u_fn(z) - u00 / 2)
-    b_fn = lambda z: -complex(psi(z)) * cmath.exp(-2 * u_fn(z) + u00)
-    return normalized_spec(a_fn, b_fn)
+    return normalized_spec(Poly.of(math.exp(u00 / 2)), psi.scale(-math.exp(-u00)))
 
 
 @dataclass(frozen=True)
@@ -379,8 +366,7 @@ def outer_symmetry_order(k: int, n: int, p0: float = 1.0) -> OuterSymmetry:
 # -- JSON schema --------------------------------------------------------------
 
 _TOP_KEYS = {"kind", "a", "b", "k", "n", "a_k", "b_n", "psi0", "m", "d",
-             "trunc", "grid", "lambda", "tol"}
-_RUN_KEYS = ("trunc", "grid", "lambda", "tol")
+             "trunc", "grid", "lambda"}
 
 
 def is_finite_number(v) -> bool:
@@ -507,10 +493,6 @@ def spec_from_dict(doc: dict):
     run = {}
     if "trunc" in doc:
         run["trunc"] = _int_from(doc["trunc"], "trunc", 4)
-    if "tol" in doc:
-        if not is_finite_number(doc["tol"]) or not 0 < doc["tol"] <= 1e-4:
-            raise SchemaError("tol", "must lie in (0, 1e-4]")
-        run["tol"] = float(doc["tol"])
     if "grid" in doc:
         run["grid"] = doc["grid"]
     if "lambda" in doc:
@@ -526,9 +508,6 @@ def spec_to_dict(spec: PotentialSpec) -> dict:
         c = complex(c)
         return [c.real, c.imag]
 
-    if spec.kind in ("normalized", "rotational"):
-        if not isinstance(spec.a_fn, Poly) or not isinstance(spec.b_fn, Poly):
-            raise ValueError("only polynomial slots serialize")
     if spec.kind == "normalized":
         return {"kind": "normalized",
                 "a": [enc(c) for c in spec.a_fn.coeffs],

@@ -95,6 +95,40 @@ def test_painleve_nonpositive_s0_is_domain_error(tmp_path, s0):
     assert json.loads(proc.stdout)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"),
+                                         ("--tol", "inf"), ("--smax", "nan"),
+                                         ("--smax", "inf")])
+def test_painleve_bad_tol_or_smax_is_domain_error(tmp_path, flag, value):
+    # NaN and inf used to run without end, and tol 0 ran silently at 1e-10;
+    # the timeout keeps a hang from stalling the suite
+    proc = run_cli("painleve", f"{flag}={value}", "--out", str(tmp_path / "x"), timeout=60)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == "DomainError"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("h", ["0", "-1e-3", "nan", "inf"])
+def test_validate_bad_stencil_step_is_domain_error(tmp_path, h):
+    # h = 0 used to certify the surface with every residual at 0.0, since
+    # max() drops the NaN difference quotients
+    proc = run_cli("validate", "--spec", str(SPEC_DIR / "rp2.json"), "--grid", SMALL_GRID,
+                   f"--h={h}", "--out", str(tmp_path / "v"), timeout=60)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == "DomainError"
+    assert not (tmp_path / "v" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "validate", "symmetry"])
+def test_frame_tol_option_is_gone(tmp_path, command, capsys):
+    # the frame is an exact Picard sum; only painleve keeps --tol
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--spec", str(SPEC_DIR / "clifford.json"), "--tol", "1e-8",
+                  "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_closing_command():
     proc = run_cli("closing", "--l1", "1", "--l2", "0", "--l3", "0")
     assert proc.returncode == 0
@@ -224,7 +258,7 @@ def test_non_finite_extent_is_schema_error(tmp_path):
 def test_build_with_every_node_failed_exits_3(tmp_path):
     # |z| = 14 overflows trunc 8 (cf. test_truncation_overflow)
     proc = _build_with_grid(tmp_path, '{"kind":"polar","r_max":14.0,"n_r":1,"n_theta":1}',
-                            "--trunc", "8", "--tol", "1e-8")
+                            "--trunc", "8")
     assert proc.returncode == 3, proc.stdout + proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["error"] == "NoNodeSolved"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bundled_spec, random_realform_degree_one
+from frame_oracle import rk45_frame
 from lagdpw import su3
 from lagdpw.dpw import (MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_v0,
                         clifford_frame_loop, clifford_oracle,
@@ -28,7 +29,7 @@ BUNDLED = ("clifford", "radial_ab", "radial_k1", "rotational_m4", "rp2")
 
 def test_integrate_frame_clifford_matches_exponential():
     z = 1.3 - 0.8j
-    c = integrate_frame(CL, z, 16, 1e-10)
+    c = integrate_frame(CL, z, 16)
     oracle = loop_exp(LoopMatrix.monomial(-1, z * A, twisted=True), 16)
     assert max_distance_on_circle(c, oracle) < 1e-9
 
@@ -45,9 +46,7 @@ def test_integrate_frame_constant_degree_one(rng):
     assert max_distance_on_circle(c, loop_exp(loop_scale(d, z), 16)) < 1e-12
 
 
-def _callable_slots(spec):
-    """The same potential with its Poly slots wrapped as callables (RK45 branch)."""
-    return replace(spec, a_fn=lambda z: spec.a_fn(z), b_fn=lambda z: spec.b_fn(z))
+ORACLE_TOL = 1e-10
 
 
 def _relative_gap(exact, oracle):
@@ -60,10 +59,9 @@ def test_path_independence():
     # the exact stack against RK45 along a polygonal path of the same slots
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
     z = 1.1 + 0.7j
-    tol = 1e-10
-    c1 = integrate_frame(spec, z, 16, tol)
-    c2 = integrate_frame(_callable_slots(spec), z, 16, tol, path=[0.9j, 0.5 + 0.1j])
-    assert max_distance_on_circle(c1, c2) < 10 * tol
+    c1 = integrate_frame(spec, z, 16)
+    c2 = rk45_frame(spec, z, 16, ORACLE_TOL, path=[0.9j, 0.5 + 0.1j])
+    assert max_distance_on_circle(c1, c2) < 10 * ORACLE_TOL
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -71,9 +69,8 @@ def test_exact_frame_matches_rk45_on_outer_ring(name):
     spec, run = bundled_spec(name)
     grid = GridSpec.from_dict(run["grid"])
     ring = grid.nodes()[-grid.n_theta:]
-    oracle = _callable_slots(spec)
     for z in ring:
-        gap = _relative_gap(integrate_frame(spec, z, 16), integrate_frame(oracle, z, 16))
+        gap = _relative_gap(integrate_frame(spec, z, 16), rk45_frame(spec, z, 16, ORACLE_TOL))
         assert gap < 1e-9, (z, gap)
 
 
@@ -87,14 +84,13 @@ _SMALL_COEFF = st.complex_numbers(max_magnitude=1.0)
        st.sampled_from([0.0, 0.5 - 0.25j]))
 def test_exact_frame_matches_rk45_on_random_polys(a, b, z, base):
     spec = replace(normalized_spec(Poly.of(*a), Poly.of(*b)), base_point=base)
-    gap = _relative_gap(integrate_frame(spec, z, 16),
-                        integrate_frame(_callable_slots(spec), z, 16))
+    gap = _relative_gap(integrate_frame(spec, z, 16), rk45_frame(spec, z, 16, ORACLE_TOL))
     assert gap < 1e-9
 
 
 def test_truncation_overflow():
     with pytest.raises(TruncationOverflow):
-        integrate_frame(CL, 14.0, 8, 1e-8)
+        integrate_frame(CL, 14.0, 8)
 
 
 def test_exact_frame_overflow_is_pole_on_path():

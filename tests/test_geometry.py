@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lagdpw.dpw import CliffordSurface, PipelineSurface, RP2Surface
 from lagdpw.errors import GridTooCoarse
@@ -170,6 +171,31 @@ def test_fubini_study_distance_properties():
     assert fubini_study_distance(u, np.exp(0.7j) * u) == 0.0
     v = np.array([0, 1.0, 0], dtype=complex)
     assert fubini_study_distance(u, v) == pytest.approx(np.pi / 2)
+
+
+_VECTOR = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(
+    lambda x: np.array(x[:3]) + 1j * np.array(x[3:]))
+
+
+def _unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTOR, _VECTOR, st.floats(-math.pi, math.pi), st.integers(0, 2 ** 32 - 1))
+def test_fubini_study_distance_is_accurate_at_both_ends(u, v, phi, seed):
+    assume(np.linalg.norm(u) > 1e-3 and np.linalg.norm(v) > 1e-3)
+    d = fubini_study_distance(u, v)
+    # the same point of CP^2 is at distance zero to rounding, not sqrt(rounding)
+    assert fubini_study_distance(u, np.exp(1j * phi) * u) <= 1e-15
+    assert abs(d - fubini_study_distance(v, u)) <= 1e-15
+    g = _unitary(seed)
+    assert abs(d - fubini_study_distance(g @ u, g @ v)) <= 1e-14
+    if d > 1e-3:  # where arccos is well conditioned the two agree
+        c = abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+        assert abs(d - math.acos(min(c, 1.0))) <= 1e-12
 
 
 def test_hopf_coefficient_carries_family_factor():

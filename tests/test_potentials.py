@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from lagdpw import su3
 from lagdpw.errors import LagdpwError, NotVacuum, PoleAtOrigin, SchemaError
 from lagdpw.loops import algebra_twist_residual
-from lagdpw.potentials import (KINDS, Poly, check_potential_symmetry,
+from lagdpw.potentials import (KINDS, Poly, PotentialSpec, check_potential_symmetry,
                                clifford_spec, constant_degree_one_spec,
                                homogeneity_params, normalized_spec,
                                outer_symmetry_order, radial_monomial_spec,
@@ -44,11 +45,18 @@ def test_wu_linear_psi():
     assert spec.b(z) == pytest.approx(z)
 
 
-def test_wu_callable_round():
-    spec = wu_potential(lambda z: 0.1 * z, 0.0, lambda z: -1.0 - z)
-    z = 0.4 + 0.1j
-    assert spec.a(z) == pytest.approx(cmath.exp(0.1 * z))
-    assert spec.b(z) == pytest.approx((1.0 + z) * cmath.exp(-0.2 * z))
+def test_callable_slots_rejected_at_construction():
+    # the frame is an exact Picard sum over polynomial slots only
+    with pytest.raises(ValueError):
+        wu_potential(lambda z: 0.1 * z, 0.0, Poly.of(-1.0))
+    with pytest.raises(ValueError):
+        wu_potential(0.0, 0.0, lambda z: -1.0 - z)
+    with pytest.raises(ValueError):
+        normalized_spec(lambda z: 1.0, Poly.of(1.0))
+    with pytest.raises(ValueError):
+        PotentialSpec(kind="rotational", a_fn=Poly.of(1.0), b_fn=lambda z: z, m=4)
+    with pytest.raises(ValueError):
+        replace(clifford_spec(), b_fn=lambda z: 1.0)
 
 
 # -- homogeneity data -------------------------------------------------------
@@ -356,7 +364,7 @@ def test_spec_from_dict_raises_only_typed_errors(doc):
     assert spec.kind == doc["kind"]
     assert spec.psi0 is None or cmath.isfinite(spec.psi0)
     assert spec.d_matrix is None or math.isfinite(spec.d_matrix.wiener_norm())
-    assert set(run) <= {"trunc", "grid", "lambda", "tol"}
+    assert set(run) <= {"trunc", "grid", "lambda"}
 
 
 def test_schema_constant_degree_one():
@@ -371,16 +379,15 @@ def test_schema_constant_degree_one():
 
 def test_schema_run_defaults():
     doc = {"kind": "normalized", "a": [[1, 0]], "b": [], "trunc": 12,
-           "tol": 1e-9, "lambda": [[0, 1]], "grid": {"kind": "polar"}}
+           "lambda": [[0, 1]], "grid": {"kind": "polar"}}
     spec, run = spec_from_dict(doc)
-    assert run["trunc"] == 12
-    assert run["lambda"] == [1j]
+    assert run == {"trunc": 12, "lambda": [1j], "grid": {"kind": "polar"}}
     with pytest.raises(SchemaError):
         spec_from_dict({"kind": "normalized", "a": [[1, 0]], "b": [],
                         "trunc": 2})
-    with pytest.raises(SchemaError):
-        spec_from_dict({"kind": "normalized", "a": [[1, 0]], "b": [],
-                        "tol": 1.0})
+    # the frame has no tolerance, so a spec-level tol is an unknown field
+    with pytest.raises(SchemaError, match="tol: unknown field"):
+        spec_from_dict({**doc, "tol": 1e-9})
     with pytest.raises(SchemaError):
         spec_from_dict({"kind": "normalized", "a": [[1, 0]], "b": [],
                         "trunc": True})
