@@ -77,7 +77,10 @@ def _parse_lambdas(text: str):
     for tok in text.split(","):
         if not tok.strip():
             continue
-        lam = complex(tok.strip().replace("i", "j"))
+        try:
+            lam = complex(tok.strip().replace("i", "j"))
+        except ValueError:
+            raise SchemaError("lambda", f"{tok.strip()!r} is not a complex number") from None
         r = abs(lam)
         if not 0.9 <= r <= 1.1:
             raise SchemaError("lambda", f"{tok.strip()!r} is not near S^1")
@@ -190,11 +193,11 @@ def _cmd_build(args) -> int:
                               f"{sorted(_PROJECTIONS)}, got {args.project!r}")
         first = [s for s in samples if samples and s.lambda0 == samples[0].lambda0]
         if failures or not first:
-            print(json.dumps({"warning": "mesh skipped: failed grid nodes"}))
+            print(_dumps({"warning": "mesh skipped: failed grid nodes"}))
         else:
             _write_mesh(out / "mesh.obj", first, grid, triple)
-    print(json.dumps({"status": "ok", "samples": len(samples),
-                      "out": str(out)}))
+    print(_dumps({"status": "ok", "samples": len(samples),
+                  "out": str(out)}))
     return 0
 
 
@@ -230,16 +233,18 @@ def _cmd_painleve(args) -> int:
     rows += [",".join(_fmt(v) for v in row)
              for row in zip(sol.s_samples, sol.h, sol.h_dot, sol.residual)]
     (out / "painleve.csv").write_text("\n".join(rows) + "\n")
-    print(json.dumps({"status": "ok", "samples": len(sol.s_samples),
-                      "max_residual": sol.max_residual,
-                      "blowup_at": sol.blowup_at}))
+    print(_dumps({"status": "ok", "samples": len(sol.s_samples),
+                  "max_residual": sol.max_residual,
+                  "blowup_at": sol.blowup_at}))
     return 0
 
 
 def _cmd_closing(args) -> int:
-    lam = complex(args.lambda0.replace("i", "j"))
-    rep = periodicity.closing_report(args.l1, args.l2, args.l3, lam)
-    print(json.dumps({
+    lambdas = _parse_lambdas(args.lambda0)
+    if len(lambdas) != 1:
+        raise SchemaError("lambda", f"expected one S^1 value, got {args.lambda0!r}")
+    rep = periodicity.closing_report(args.l1, args.l2, args.l3, lambdas[0])
+    print(_dumps({
         "delta": [rep.delta.real, rep.delta.imag],
         "lambda0": [rep.lambda0.real, rep.lambda0.imag],
         "closed": rep.closed,
@@ -276,7 +281,7 @@ def _cmd_symmetry(args) -> int:
             spec, t_vals, nodes[:4] or [0.5 + 0.2j], trunc=trunc)
     else:
         raise LagdpwError(f"no symmetry check defined for kind {spec.kind!r}")
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(_dumps(result, indent=2, sort_keys=True))
     return 0
 
 
@@ -323,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--l1", type=int, required=True)
     pc.add_argument("--l2", type=int, required=True)
     pc.add_argument("--l3", type=int, required=True)
-    pc.add_argument("--lambda0", default="1")
+    pc.add_argument("--lambda0", default="1", help="one S^1 value, e.g. '0.6+0.8j'")
     pc.set_defaults(func=_cmd_closing)
 
     ps = sub.add_parser("symmetry", help="potential/surface symmetry residuals")
@@ -337,14 +342,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SchemaError as exc:
-        print(json.dumps({"error": "SchemaError", "path": exc.path,
-                          "message": str(exc)}))
+        print(_dumps({"error": "SchemaError", "path": exc.path,
+                      "message": str(exc)}))
         return 2
     except (json.JSONDecodeError, FileNotFoundError) as exc:
-        print(json.dumps({"error": "SchemaError", "message": str(exc)}))
+        print(_dumps({"error": "SchemaError", "message": str(exc)}))
         return 2
     except (LagdpwError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        print(_dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 3
 
 

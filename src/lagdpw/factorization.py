@@ -7,6 +7,9 @@ Writing f_minus^{-1} = I + sum_{m<0} lambda^m B_m, the requirement that
 f_minus^{-1} g has no negative Fourier modes is *linear* in the B_m, so the
 split reduces to one small least-squares system per matrix row.  Singularity
 of that system is exactly the numerical signal that g left the big cell.
+The three row systems are gathered by one cached map and solved by one
+stacked SVD and one refinement step; f_plus is read off the same gathered
+rows at degrees >= 0.
 
 For twisted inputs the unknowns are restricted structurally: a Fourier
 coefficient of a twisted group loop at degree m can only populate the three
@@ -40,17 +43,17 @@ makes the operator block-diagonal: row (mode n, entry i) has grade
 and g only couples equal grades.  Gram-Schmidt never mixes disjoint row
 supports, so three QRs of the grade blocks (one stacked np.linalg.qr, the
 descending column order kept inside each block) give the same Q and R as
-one QR of the whole operator, at a ninth of the work.  The grade split is
-taken only when g is flagged twisted and its entries off the grade slots
-are below GRADE_TOL of its largest coefficient; every other loop runs the
-single QR through the same code as one block.  IllConditioned applies the
-min/max |diag R| rule over all blocks together.
+one QR of the whole operator, at a ninth of the work.  The grade split (in
+both splittings) is taken only when g is flagged twisted and its entries
+off the grade slots are below GRADE_TOL of its largest coefficient; every
+other loop runs the single QR through the same code as one block.
+IllConditioned applies the min/max |diag R| rule over all blocks together.
 
 v_plus from R.  The phase-fixed R holds the inner products of the
 orthonormal columns with the operator's columns, so the column of g e_j
 gives (V_m)_{lj} = <lambda^m h e_l, g e_j> for m = 0..trunc without a loop
-product.  The residual is max ||g(lambda) - h(lambda) v_plus(lambda)||_2
-over the DEFAULT_CIRCLE_SAMPLES points of S^1.
+product.  The residual of either split, with factors a and b, is
+max ||g(lambda) - a(lambda) b(lambda)||_2 over DEFAULT_CIRCLE_SAMPLES points.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ import numpy as np
 
 from . import su3
 from .errors import IllConditioned, OutsideBigCell
-from .loops import (DEFAULT_CIRCLE_SAMPLES, LoopMatrix, loop_product,
-                    max_distance_on_circle)
+from .loops import DEFAULT_CIRCLE_SAMPLES, LoopMatrix
+from .loops import max_distance_on_circle  # noqa: F401  (bench/selftest.py traces this binding)
 
 COND_LIMIT = 1e12
 GRADE_TOL = 1e-13  # off-grade mass, relative to the largest coefficient, for the split
@@ -84,84 +87,79 @@ class IwasawaFactors:
     residual: float
 
 
-def _minus_series_unknowns(trunc: int, twisted: bool):
-    """Allowed (degree m, column l) pairs per row for f_minus^{-1} = I + sum B_m."""
-    slots = []
-    for m in range(-trunc, 0):
-        if twisted:
-            mask = su3.group_slot_mask(m)
-            cols = [np.nonzero(mask[i])[0] for i in range(3)]
-        else:
-            cols = [np.arange(3)] * 3
-        slots.append((m, cols))
-    return slots
+def _flat_index(deg, i, j, lo: int, hi: int):
+    """Index of [deg][i, j] in a flat (degrees lo..hi, 3, 3) stack, or of its trailing zero."""
+    return np.where((deg >= lo) & (deg <= hi), ((deg - lo) * 3 + i) * 3 + j, 9 * (hi - lo + 1))
+
+
+def _read_only(*maps):
+    """The index maps, frozen: the caches below hand the same arrays to every call."""
+    for a in maps:
+        a.setflags(write=False)
+    return maps
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
+def _birkhoff_index(lo: int, span: int, trunc: int, graded: bool):
+    """Read-only gather maps of the three per-row mode-matching systems.
+
+    Rows (d, j), d = lo - trunc..trunc, and unknowns (m, l) of row i,
+    m = -trunc..-1, kept by su3.group_slot_mask(m)[i, l] when ``graded``.
+    Returns flat indices (see _flat_index) of A[i, (d, j), (m, l)] =
+    G_{d-m}[l, j] and of G_d[i, j] in g; of each unknown in f_minus^{-1},
+    degrees -trunc..0; and of T[(m, i), (b, l)] = (f_minus^{-1})_{m-b}[i, l],
+    the unit triangular system f_minus^{-1} f_minus = I for f_minus below 0.
+    """
+    eq_d, eq_j = np.divmod(np.arange(3 * (lo - trunc), 3 * (trunc + 1)), 3)
+    unk_m, unk_l = np.divmod(np.arange(-3 * trunc, 0), 3)
+    keep = su3.group_slot_mask(unk_m[::3, None, None]) | (not graded)  # [m, i, l]; all if ungraded
+    per_row = np.nonzero(keep.transpose(1, 0, 2).reshape(3, -1))[1].reshape(3, -1)
+    um, ul, i = unk_m[per_row], unk_l[per_row], np.arange(3)[:, None]
+    a = _flat_index(eq_d[:, None] - um[:, None, :], ul[:, None, :], eq_j[:, None], lo, lo + span)
+    return _read_only(a, _flat_index(eq_d, i, eq_j, lo, lo + span),
+                      _flat_index(um, i, ul, -trunc, 0),
+                      _flat_index(unk_m[:, None] - unk_m, unk_l[:, None], unk_l, -trunc, 0))
 
 
 def birkhoff(g: LoopMatrix, trunc: int) -> BirkhoffFactors:
     """Left Birkhoff split g = f_minus f_plus, f_minus normalized at infinity.
 
     Raises OutsideBigCell when the mode-matching system is numerically
-    singular (condition number beyond 1e12).
+    singular (condition number beyond 1e12) or inconsistent.
     """
     g = g.trim()
     if g.min_degree >= 0:
-        f_minus = LoopMatrix.identity(twisted=g.twisted)
-        res = 0.0
-        return BirkhoffFactors(f_minus, g, res)
+        return BirkhoffFactors(LoopMatrix.identity(twisted=g.twisted), g, 0.0)
 
-    slots = _minus_series_unknowns(trunc, g.twisted)
-    d_lo = -trunc + g.min_degree
-    eq_degrees = range(d_lo, 0)
+    lo, span = g.min_degree, g.max_degree - g.min_degree
+    gather, rhs, unknowns, tri = _birkhoff_index(lo, span, trunc, _grade_split(g))
+    flat = np.append(g.coeffs.reshape(-1), 0.0)
+    a, b, neg = flat[gather], -flat[rhs], 3 * (trunc - lo)  # the first neg rows: degrees < 0
+    u, sv, vh = np.linalg.svd(a[:, :neg], full_matrices=False)
+    if not np.all((sv[:, -1] > 0) & (sv[:, 0] <= COND_LIMIT * sv[:, -1])):
+        raise OutsideBigCell("mode-matching system singular")
 
-    b_coeffs = {m: np.zeros((3, 3), dtype=complex) for m, _ in slots}
-    for i in range(3):
-        unknown_index = []  # (m, l)
-        for m, cols in slots:
-            for l in cols[i]:
-                unknown_index.append((m, int(l)))
-        n_unk = len(unknown_index)
-        rows = []
-        rhs = []
-        for d in eq_degrees:
-            gd = g.coefficient(d)
-            for j in range(3):
-                row = np.zeros(n_unk, dtype=complex)
-                for c, (m, l) in enumerate(unknown_index):
-                    row[c] = g.coefficient(d - m)[l, j]
-                rows.append(row)
-                rhs.append(-gd[i, j])
-        a = np.array(rows)
-        b = np.array(rhs)
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[0] <= 0 or sv[-1] == 0 or sv[0] / sv[-1] > COND_LIMIT:
-            raise OutsideBigCell("mode-matching system singular")
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        misfit = np.max(np.abs(a @ x - b))
-        if misfit > 1e-6 * (1.0 + np.max(np.abs(b))):
-            # nonzero partial indices make the system inconsistent rather
-            # than singular: the degree-0 coefficient of f_minus^{-1} is I
-            raise OutsideBigCell(f"mode matching inconsistent (misfit {misfit:.2e})")
-        for c, (m, l) in enumerate(unknown_index):
-            b_coeffs[m][i, l] = x[c]
+    def lstsq(r):  # each row system's least-squares solution, from its SVD
+        return np.einsum("rkc,rk->rc", np.conj(vh), np.einsum("rek,re->rk", np.conj(u), r) / sv)
 
-    b_coeffs[0] = np.eye(3, dtype=complex)
-    f_minus_inv = LoopMatrix.from_coeffs(b_coeffs, twisted=g.twisted)
+    x = lstsq(b[:, :neg])
+    x += lstsq(b[:, :neg] - np.einsum("rec,rc->re", a[:, :neg], x))  # one refinement step
+    modes = np.einsum("rec,rc->re", a, x) - b  # row i of (f_minus^{-1} g)_d, d = lo - trunc..trunc
+    misfit = np.max(np.abs(modes[:, :neg]), axis=1)
+    if np.any(misfit > 1e-6 * (1.0 + np.max(np.abs(b[:, :neg]), axis=1))):
+        # nonzero partial indices make the system inconsistent rather
+        # than singular: the degree-0 coefficient of f_minus^{-1} is I
+        raise OutsideBigCell(f"mode matching inconsistent (misfit {np.max(misfit):.2e})")
 
-    # Inverse of I + (strictly negative modes) is again I + negative modes;
-    # the recursion below is exact in the truncated formal series.
-    inv = np.zeros((trunc + 1, 3, 3), dtype=complex)  # index k holds degree -k
-    inv[0] = np.eye(3)
-    for k in range(1, trunc + 1):
-        acc = np.zeros((3, 3), dtype=complex)
-        for m in range(1, k + 1):
-            acc += f_minus_inv.coefficient(-m) @ inv[k - m]
-        inv[k] = -acc
-    f_minus = LoopMatrix(inv[::-1], -trunc, g.twisted).trim(0.0)
-
-    f_plus = loop_product(f_minus_inv, g).restrict(0, trunc).trim(0.0)
-    recon = loop_product(f_minus, f_plus)
-    residual = max_distance_on_circle(g, recon)
-    return BirkhoffFactors(f_minus, f_plus, residual)
+    n = np.zeros(9 * (trunc + 1) + 1, dtype=complex)  # f_minus^{-1}, then a zero
+    n[unknowns] = x
+    n[9 * trunc:-1] = np.eye(3).reshape(-1)
+    # the unipotent series recursion for f_minus, as one unit triangular solve
+    m = np.linalg.solve(n[tri], -n[:9 * trunc].reshape(-1, 3))
+    f_minus = LoopMatrix(np.vstack([m, np.eye(3)]).reshape(-1, 3, 3), -trunc, g.twisted).trim(0.0)
+    f_plus = LoopMatrix(modes[:, neg:].reshape(3, trunc + 1, 3).transpose(1, 0, 2),
+                        0, g.twisted).trim(0.0)
+    return BirkhoffFactors(f_minus, f_plus, _circle_residual(g, f_minus, f_plus))
 
 
 @functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
@@ -190,16 +188,11 @@ def _iwasawa_index(lo: int, span: int, trunc: int, graded: bool):
     else:
         rows, cols = np.arange(row_n.size)[None], np.arange(col_k.size)[None]
     rn, ri, ck, cj = row_n[rows], row_i[rows], col_k[cols], col_j[cols]
-    deg = rn[:, :, None] - ck[:, None, :]
-    inside = (deg >= lo) & (deg <= lo + span)
-    gather = np.where(inside, ((deg - lo) * 3 + ri[:, :, None]) * 3 + cj[:, None, :],
-                      9 * (span + 1))
+    gather = _flat_index(rn[:, :, None] - ck[:, None, :], ri[:, :, None], cj[:, None, :],
+                         lo, lo + span)
     p = 3 // rows.shape[0]  # k = 0 columns per block, the last p
     n_v = (trunc + 1) * p
-    maps = (gather, (rn - lo) * 3 + ri, cj[:, -p:], ck[:, -n_v:] * 3 + cj[:, -n_v:])
-    for a in maps:
-        a.setflags(write=False)
-    return maps
+    return _read_only(gather, (rn - lo) * 3 + ri, cj[:, -p:], ck[:, -n_v:] * 3 + cj[:, -n_v:])
 
 
 def _grade_split(g: LoopMatrix) -> bool:
@@ -241,7 +234,11 @@ def iwasawa(g: LoopMatrix, trunc: int) -> IwasawaFactors:
         r[:, -n_v:, -p:] * np.conj(phase[:, -n_v:, None])
     v_plus = LoopMatrix(v_coeffs.reshape(trunc + 1, 3, 3), 0, twisted=g.twisted).trim(0.0)
 
+    return IwasawaFactors(h, v_plus, _circle_residual(g, h, v_plus))
+
+
+def _circle_residual(g: LoopMatrix, a: LoopMatrix, b: LoopMatrix) -> float:
+    """max ||g(lambda) - a(lambda) b(lambda)||_2 over the DEFAULT_CIRCLE_SAMPLES points of S^1."""
     lams = su3.unit_circle(DEFAULT_CIRCLE_SAMPLES)
-    recon = h.evaluate_many(lams) @ v_plus.evaluate_many(lams)
-    residual = float(np.max(su3.op_norm(g.evaluate_many(lams) - recon)))
-    return IwasawaFactors(h, v_plus, residual)
+    recon = a.evaluate_many(lams) @ b.evaluate_many(lams)
+    return float(np.max(su3.op_norm(g.evaluate_many(lams) - recon)))

@@ -155,56 +155,6 @@ def loop_scale(a: LoopMatrix, s: complex) -> LoopMatrix:
     return LoopMatrix(a.coeffs * s, a.min_degree, a.twisted)
 
 
-def _series_inverse(c: np.ndarray, n_out: int) -> np.ndarray:
-    """Inverse of I-leading power series sum_{d>=0} C_d x^d with C_0 invertible."""
-    c0 = c[0]
-    if np.linalg.cond(c0) > COND_LIMIT:
-        raise SingularLoop("leading coefficient numerically singular")
-    c0inv = np.linalg.inv(c0)
-    out = np.zeros((n_out, 3, 3), dtype=complex)
-    out[0] = c0inv
-    for d in range(1, n_out):
-        acc = np.zeros((3, 3), dtype=complex)
-        for k in range(1, min(d, len(c) - 1) + 1):
-            acc += c[k] @ out[d - k]
-        out[d] = -c0inv @ acc
-    return out
-
-
-def loop_inverse(g: LoopMatrix, trunc: int) -> LoopMatrix:
-    """Inverse loop, correct on |d| <= trunc.
-
-    Plus/minus loops invert by exact series recursion off the extreme
-    coefficient; genuinely mixed loops fall back to pointwise inversion on a
-    fine S^1 grid and an FFT back to coefficients.
-    """
-    g = g.trim()
-    if g.coeffs.shape[0] == 1:  # monomial lambda^d G
-        m = g.coeffs[0]
-        if np.linalg.cond(m) > COND_LIMIT:
-            raise SingularLoop("constant coefficient numerically singular")
-        return LoopMatrix(np.linalg.inv(m)[None], -g.min_degree, g.twisted)
-    if g.min_degree >= 0:
-        inv = _series_inverse(g.coeffs, trunc + 1)
-        return LoopMatrix(inv, 0, g.twisted).restrict(0, trunc)
-    if g.max_degree <= 0:
-        inv = _series_inverse(g.coeffs[::-1], trunc + 1)
-        return LoopMatrix(inv[::-1], -trunc, g.twisted).restrict(-trunc, 0)
-
-    span = g.max_degree - g.min_degree
-    m = 1 << max(int(np.ceil(np.log2(8 * max(trunc, span, 32)))), 6)
-    lams = np.exp(2j * np.pi * np.arange(m) / m)
-    vals = g.evaluate_many(lams)
-    conds = np.linalg.cond(vals)
-    if np.max(conds) > COND_LIMIT:
-        raise SingularLoop("loop not invertible at an S^1 sample")
-    inv_vals = np.linalg.inv(vals)
-    spec = np.fft.ifft(inv_vals, axis=0)  # index k holds degree -k mod m
-    degs = np.arange(-trunc, trunc + 1)
-    c = spec[np.mod(-degs, m)]
-    return LoopMatrix(c, -trunc, g.twisted)
-
-
 def loop_exp(x: LoopMatrix, trunc: int, guard: int = 8) -> LoopMatrix:
     """exp of a loop by scaling-and-squaring over the truncated algebra.
 

@@ -105,19 +105,17 @@ def cocycle_residual(d_matrix: LoopMatrix, x: float, y: float,
     fx_vals = f_x.evaluate_many(lams)
     lift_y = f_y.evaluate_many(lams)[:, :, 2]
 
-    def defect(phi):
-        k = np.diag([np.exp(1j * phi), np.exp(-1j * phi), 1.0])
-        moved = np.einsum("lij,jk,lk->li", fx_vals, k, lift_y)
-        return float(np.max(np.linalg.norm(lift_xy - moved, axis=1)))
+    def defect(phis):
+        """The lift defect at each gauge phase of phis (any shape)."""
+        k = np.exp(1j * np.multiply.outer(phis, [1.0, -1.0, 0.0]))  # diagonal of k_phi
+        moved = np.einsum("lij,...j,lj->...li", fx_vals, k, lift_y)
+        return np.max(np.linalg.norm(lift_xy - moved, axis=-1), axis=-1)
 
     phis = np.linspace(0.0, 2 * np.pi, phase_steps, endpoint=False)
-    vals = [defect(p) for p in phis]
-    i0 = int(np.argmin(vals))
-    lo = phis[i0] - 2 * np.pi / phase_steps
-    hi = phis[i0] + 2 * np.pi / phase_steps
+    i0 = int(np.argmin(defect(phis)))
     # golden-section refinement of the single continuous gauge parameter
     gr = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
+    a, b = phis[i0] - 2 * np.pi / phase_steps, phis[i0] + 2 * np.pi / phase_steps
     c1 = b - gr * (b - a)
     c2 = a + gr * (b - a)
     f1, f2 = defect(c1), defect(c2)
@@ -130,4 +128,4 @@ def cocycle_residual(d_matrix: LoopMatrix, x: float, y: float,
             a, c1, f1 = c1, c2, f2
             c2 = a + gr * (b - a)
             f2 = defect(c2)
-    return min(f1, f2)
+    return float(min(f1, f2))

@@ -139,6 +139,15 @@ def test_closing_command():
     assert doc["residual"] < 1e-9
 
 
+@pytest.mark.parametrize("value", ["nan", "1e300", "0", "2", "abc", "1,1j"])
+def test_closing_bad_lambda0_is_schema_error(value):
+    # off S^1, non-finite or not exactly one value: no bare NaN, no traceback
+    proc = run_cli("closing", "--l1", "1", "--l2", "0", "--l3", "0", "--lambda0", value)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == "SchemaError"
+    assert not proc.stderr
+
+
 def test_symmetry_command_rotational():
     proc = run_cli("symmetry", "--spec", str(SPEC_DIR / "rotational_m4.json"),
                    "--grid", SMALL_GRID)

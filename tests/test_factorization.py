@@ -6,7 +6,7 @@ from conftest import bundled_spec, random_twisted_group_loop
 from lagdpw import dpw, factorization, su3
 from lagdpw.errors import IllConditioned, OutsideBigCell
 from lagdpw.factorization import birkhoff, iwasawa
-from lagdpw.loops import (LoopMatrix, loop_exp, max_distance_on_circle,
+from lagdpw.loops import (LoopMatrix, loop_exp, loop_product, max_distance_on_circle,
                           twist_residual, unitarity_residual)
 
 A = su3.A_CLIFFORD
@@ -71,6 +71,32 @@ def test_birkhoff_roundtrip_random(rng):
         fac = birkhoff(g, 16)
         worst = max(worst, fac.residual)
     assert worst < 1e-8
+
+
+def test_birkhoff_twisted_flag_alone_does_not_grade(rng):
+    # off-grade mass under a twisted flag takes the ungraded system, as in iwasawa
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    g = loop_product(LoopMatrix.constant(q, twisted=True), clifford_frame(Z))
+    assert g.twisted and not factorization._grade_split(g)
+    assert birkhoff(g, 16).residual < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.01, 1.0))
+def test_birkhoff_property_on_random_twisted_loops(seed, amp):
+    g = random_twisted_group_loop(np.random.default_rng(seed), amp=amp)
+    assert factorization._grade_split(g)
+    fac = birkhoff(g, 16)
+    single = birkhoff(LoopMatrix(g.coeffs, g.min_degree, twisted=False), 16)
+    assert max(max_distance_on_circle(fac.f_minus, single.f_minus),
+               max_distance_on_circle(fac.f_plus, single.f_plus)) < 1e-12
+    assert fac.residual < 1e-8
+    assert np.array_equal(fac.f_minus.coefficient(0), np.eye(3))
+    assert -16 <= fac.f_minus.min_degree and fac.f_minus.max_degree == 0
+    assert 0 <= fac.f_plus.min_degree and fac.f_plus.max_degree <= 16
+    again = birkhoff(g, 16)
+    assert np.array_equal(again.f_minus.coeffs, fac.f_minus.coeffs)
+    assert np.array_equal(again.f_plus.coeffs, fac.f_plus.coeffs)
 
 
 # -- Iwasawa --------------------------------------------------------------

@@ -6,9 +6,8 @@ from conftest import random_twisted_algebra_loop, random_twisted_group_loop
 from lagdpw import su3
 from lagdpw.errors import SingularLoop
 from lagdpw.loops import (LoopMatrix, algebra_twist_residual, loop_exp,
-                          loop_inverse, loop_product, loop_sum,
-                          max_distance_on_circle, twist_residual,
-                          unitarity_residual)
+                          loop_product, loop_sum, max_distance_on_circle,
+                          twist_residual, unitarity_residual)
 
 A = su3.A_CLIFFORD
 IDENT = LoopMatrix.identity()
@@ -49,33 +48,6 @@ def test_product_associativity(rng):
     left = loop_product(loop_product(a, b, 16), c, 16)
     right = loop_product(a, loop_product(b, c, 16), 16)
     assert max_distance_on_circle(left, right) < 1e-10
-
-
-def test_inverse_identity_and_constant_unitary(rng):
-    assert max_distance_on_circle(loop_inverse(IDENT, 8), IDENT) == 0.0
-    g = su3.expm3(0.4 * (A + su3.tau(A)))  # unitary: inverse = adjoint
-    gi = loop_inverse(LoopMatrix.constant(g), 8)
-    assert np.allclose(gi.coefficient(0), np.conj(g).T, atol=1e-13)
-
-
-def test_inverse_of_exponential_coefficientwise():
-    e_plus = loop_exp(LoopMatrix.monomial(-1, A, twisted=True), 16)
-    inv = loop_inverse(e_plus, 16)
-    oracle = loop_exp(LoopMatrix.monomial(-1, -A, twisted=True), 16)
-    for d in range(-16, 1):
-        assert np.max(np.abs(inv.coefficient(d) - oracle.coefficient(d))) < 1e-12
-
-
-def test_inverse_mixed_loop(rng):
-    g = random_twisted_group_loop(rng)
-    inv = loop_inverse(g, 24)
-    assert max_distance_on_circle(loop_product(g, inv), IDENT) < 1e-10
-
-
-def test_inverse_singular_raises():
-    m = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    with pytest.raises(SingularLoop):
-        loop_inverse(LoopMatrix.constant(m), 8)
 
 
 def test_twist_residual_examples():
