@@ -72,20 +72,14 @@ def _write_report(path: Path, doc: dict) -> None:
 
 
 def _parse_lambdas(text: str):
-    """Comma-separated S^1 values; typed input is projected onto the circle."""
+    """Comma-separated S^1 values, checked and projected like a spec's "lambda" list."""
     out = []
-    for tok in text.split(","):
-        if not tok.strip():
-            continue
+    for tok in filter(None, (t.strip() for t in text.split(","))):
         try:
-            lam = complex(tok.strip().replace("i", "j"))
+            out.append(complex(tok.replace("i", "j")))
         except ValueError:
-            raise SchemaError("lambda", f"{tok.strip()!r} is not a complex number") from None
-        r = abs(lam)
-        if not 0.9 <= r <= 1.1:
-            raise SchemaError("lambda", f"{tok.strip()!r} is not near S^1")
-        out.append(lam / r)
-    return out
+            raise SchemaError("lambda", f"{tok!r} is not a complex number") from None
+    return potentials.circle_values(out)
 
 
 _PROJECTIONS = {"re1": (0, "re"), "im1": (0, "im"), "re2": (1, "re"),
@@ -162,8 +156,8 @@ def _cmd_build(args) -> int:
     formats = set(args.fmt.split(","))
     if not formats <= {"csv", "json", "obj"}:
         raise SchemaError("format", f"expected a subset of csv,json,obj, got {args.fmt!r}")
-    samples, field, failures = dpw.grid_sample(spec, grid, lambdas, trunc)
-    if failures and not field.points:
+    samples, failures = dpw.grid_sample(spec, grid, lambdas, trunc)
+    if failures and not samples:
         z, exc = failures[0]
         raise NoNodeSolved(f"all {len(failures)} grid nodes failed; first at "
                            f"z = {z}: {type(exc).__name__}: {exc}")

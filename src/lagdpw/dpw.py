@@ -52,13 +52,13 @@ def _horner(stack: np.ndarray, z: complex) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=PICARD_CACHE_SIZE)
-def _picard_stack(a_fn: Poly, b_fn: Poly, base_point: complex, trunc: int) -> np.ndarray:
+def _picard_stack(a_fn: Poly, b_fn: Poly, trunc: int) -> np.ndarray:
     """The truncated frame as a matrix polynomial in z, shape (D, trunc+1, 3, 3).
 
     Index [j, i] holds the z^j coefficient of C_{i - trunc}, where C_0 = I and
-    C_{-k} = int_{base_point}^z C_{-(k-1)} A dw: a convolution with the
-    polynomial stack of A followed by the antiderivative vanishing at the
-    base point.  Cached, so the array is read-only.
+    C_{-k} = int_0^z C_{-(k-1)} A dw: a convolution with the polynomial stack
+    of A followed by the antiderivative vanishing at 0.  Cached, so the array
+    is read-only.
     """
     n_a = max(len(a_fn.coeffs), len(b_fn.coeffs), 1)
     a_poly = np.zeros((n_a, 3, 3), dtype=complex)
@@ -75,19 +75,17 @@ def _picard_stack(a_fn: Poly, b_fn: Poly, base_point: complex, trunc: int) -> np
             for q in range(n_a):  # the z^j product term lands at index j + 1 ...
                 cur[q + 1:q + 1 + m] += prev @ a_poly[q]
             cur[1:] /= np.arange(1, m + n_a)[:, None, None]  # ... and / (j + 1)
-            if base_point != 0:
-                cur[0] = -_horner(cur, base_point)
     stack.flags.writeable = False
     return stack
 
 
 def integrate_frame(spec: PotentialSpec, z: complex,
                     trunc: int = DEFAULT_TRUNC) -> LoopMatrix:
-    """Holomorphic frame C(z, .) solving dC = C eta, C(base, .) = I.
+    """Holomorphic frame C(z, .) solving dC = C eta, C(0, .) = I.
 
     eta = lambda^{-1} A(z) dz only lowers the lambda-degree, so on degrees
     -trunc..0 the frame is the finite Picard sum C_0 = I,
-    C_{-k}(z) = int_base^z C_{-(k-1)} A dw.  The slots are polynomials, so
+    C_{-k}(z) = int_0^z C_{-(k-1)} A dw.  The slots are polynomials, so
     each C_{-k} is an exact matrix polynomial (``_picard_stack``), evaluated
     at z by Horner; the integral of a holomorphic form does not depend on
     the path.  Constant degree-one potentials integrate exactly to
@@ -99,12 +97,12 @@ def integrate_frame(spec: PotentialSpec, z: complex,
     if spec.kind == "constant_degree_one":
         with np.errstate(all="ignore"):  # overflow surfaces as PoleOnPath below
             try:
-                return loop_exp(loop_scale(spec.d_matrix, z - spec.base_point), trunc)
+                return loop_exp(loop_scale(spec.d_matrix, z), trunc)
             except ValueError as exc:  # LoopMatrix refuses non-finite coefficients
                 raise PoleOnPath(
                     f"non-finite loop exponential at z = {complex(z)}") from exc
 
-    stack = _picard_stack(spec.a_fn, spec.b_fn, complex(spec.base_point), trunc)
+    stack = _picard_stack(spec.a_fn, spec.b_fn, trunc)
     with np.errstate(all="ignore"):
         y = _horner(stack, complex(z))
     if not np.all(np.isfinite(y)):
@@ -122,24 +120,16 @@ def integrate_frame(spec: PotentialSpec, z: complex,
 @dataclass(frozen=True)
 class FramePoint:
     z: complex
-    c_frame: LoopMatrix
     frame: LoopMatrix
     v_plus: LoopMatrix
     residual: float
     tail: float
 
 
-@dataclass(frozen=True)
-class FrameField:
-    points: tuple
-    potential: PotentialSpec
-    trunc: int
-
-
 def frame_point(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC) -> FramePoint:
     c = integrate_frame(spec, z, trunc)
     fac: IwasawaFactors = iwasawa(c, trunc)
-    return FramePoint(z=complex(z), c_frame=c, frame=fac.unitary,
+    return FramePoint(z=complex(z), frame=fac.unitary,
                       v_plus=fac.v_plus, residual=fac.residual,
                       tail=c.tail_norm(trunc))
 
@@ -240,7 +230,8 @@ class GridSpec:
 
 def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
                 trunc: int = DEFAULT_TRUNC):
-    """Samples for every grid node and lambda_0, plus the frame field.
+    """(samples, failures): a sample per solved grid node and lambda_0, and
+    (z, exception) per node that failed.
 
     Nodes are solved in order, so the output is the same on every run.
     Per-node errors are collected, not fatal.  ``grid`` may be a GridSpec
@@ -250,7 +241,6 @@ def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
         np.asarray(list(grid), dtype=complex)
     lams = [_normalize_lambda0(l) for l in lambdas]
     samples = []
-    good_points = []
     failures = []
     for z in nodes:
         try:
@@ -258,10 +248,8 @@ def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
         except Exception as exc:  # noqa: BLE001 - per-node failures are data
             failures.append((complex(z), exc))
             continue
-        good_points.append(fp)
         samples += [sample_from_frame(spec, fp, lam) for lam in lams]
-    field = FrameField(points=tuple(good_points), potential=spec, trunc=trunc)
-    return samples, field, failures
+    return samples, failures
 
 
 # -- closed-form oracles --------------------------------------------------------

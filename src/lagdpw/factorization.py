@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su3
-from .errors import IllConditioned, OutsideBigCell
+from .errors import DomainError, IllConditioned, OutsideBigCell
 from .loops import DEFAULT_CIRCLE_SAMPLES, LoopMatrix
 from .loops import max_distance_on_circle  # noqa: F401  (bench/selftest.py traces this binding)
 
@@ -125,8 +125,11 @@ def birkhoff(g: LoopMatrix, trunc: int) -> BirkhoffFactors:
     """Left Birkhoff split g = f_minus f_plus, f_minus normalized at infinity.
 
     Raises OutsideBigCell when the mode-matching system is numerically
-    singular (condition number beyond 1e12) or inconsistent.
+    singular (condition number beyond 1e12) or inconsistent, and
+    DomainError for trunc < 1.
     """
+    if trunc < 1:
+        raise DomainError(f"a split needs trunc >= 1, got {trunc}")
     g = g.trim()
     if g.min_degree >= 0:
         return BirkhoffFactors(LoopMatrix.identity(twisted=g.twisted), g, 0.0)
@@ -208,8 +211,11 @@ def iwasawa(g: LoopMatrix, trunc: int) -> IwasawaFactors:
     """Unique Iwasawa split g = h v_plus with positive-diagonal normalization.
 
     Raises IllConditioned when the orthonormalization collapses (relative
-    diagonal of the triangular factor, over all blocks, below 1/COND_LIMIT).
+    diagonal of the triangular factor, over all blocks, below 1/COND_LIMIT),
+    and DomainError for trunc < 1.
     """
+    if trunc < 1:
+        raise DomainError(f"a split needs trunc >= 1, got {trunc}")
     g = g.trim()
     lo, span = g.min_degree, g.max_degree - g.min_degree
     gather, h_rows, k0_entries, v_rows = _iwasawa_index(lo, span, trunc, _grade_split(g))

@@ -24,6 +24,9 @@ from . import su3
 from .errors import DomainError, GridTooCoarse
 from .loops import loop_product, loop_scale, loop_sum
 
+S1_SAMPLES = 12         # lambdas per node of the frame unitarity/determinant checks
+TRANSPORT_SAMPLES = 8   # lambdas per (t, z) of the homogeneity frame transport
+
 _DOT = lambda a, b: complex(np.sum(a * np.conj(b)))  # Hermitian Z . conj(W)
 
 
@@ -94,8 +97,7 @@ def hopf_coefficient(surface, z: complex, h: float = 1e-3) -> complex:
     return 1j * lam ** 3 * _DOT(fzz, fzb)
 
 
-def structure_residuals(surface, nodes, h: float = 1e-3,
-                        s1_samples: int = 12) -> ResidualReport:
+def structure_residuals(surface, nodes, h: float = 1e-3) -> ResidualReport:
     """Horizontality/conformality of the lift, unitarity/det of the frame.
 
     ``surface`` provides .sample(z) (and .frame_at(z, lams), the frame at an
@@ -107,7 +109,7 @@ def structure_residuals(surface, nodes, h: float = 1e-3,
         raise GridTooCoarse(f"need at least 5 nodes, got {len(nodes)}")
     lift = surface.lift
     frame_at = getattr(surface, "frame_at", None)
-    lams = su3.unit_circle(s1_samples)
+    lams = su3.unit_circle(S1_SAMPLES)
 
     horiz = conf = unit = det = 0.0
     for z in nodes:
@@ -162,19 +164,14 @@ def codazzi_residual(psi_grid: np.ndarray, h: float) -> float:
     return float(np.max(np.abs((px + 1j * py) / 2)))
 
 
-def _patch(surface, z: complex, h: float, half: int = 1):
-    """(u, psi) arrays on the (2*half+1)^2 patch around z, spacing h.
+def _patch(surface, z: complex, h: float):
+    """(u, psi) arrays on the 3x3 patch around z, spacing h.
 
     Grid layout: row index = y offset, column index = x offset.
     """
-    n = 2 * half + 1
-    u = np.empty((n, n))
-    psi = np.empty((n, n), dtype=complex)
-    for iy in range(-half, half + 1):
-        for ix in range(-half, half + 1):
-            s = surface.sample(z + ix * h + 1j * iy * h)
-            u[iy + half, ix + half] = s.u
-            psi[iy + half, ix + half] = s.psi
+    samples = [surface.sample(z + ix * h + 1j * iy * h) for iy in (-1, 0, 1) for ix in (-1, 0, 1)]
+    u = np.array([s.u for s in samples], dtype=float).reshape(3, 3)
+    psi = np.array([s.psi for s in samples], dtype=complex).reshape(3, 3)
     return u, psi
 
 
@@ -192,11 +189,11 @@ def integrability_residuals(surface, nodes, h: float = 1e-3):
     return worst_t, worst_c
 
 
-def certify(surface, nodes, h: float = 1e-3, s1_samples: int = 12) -> ResidualReport:
+def certify(surface, nodes, h: float = 1e-3) -> ResidualReport:
     """Full residual report over a node list; DomainError unless 0 < h < inf."""
     if not 0.0 < h < math.inf:
         raise DomainError(f"the stencil step needs 0 < h < inf, got h={h}")
-    rep = structure_residuals(surface, nodes, h, s1_samples)
+    rep = structure_residuals(surface, nodes, h)
     tz, cod = integrability_residuals(surface, nodes, h)
     return replace(rep, tzitzeica=tz, codazzi=cod)
 
@@ -228,8 +225,7 @@ def metric_consistency_residual(surface, z: complex, h: float = 1e-4) -> float:
 
 
 def homogeneity_frame_residual(spec, t_values, z_values, p0: float = 1.0,
-                               trunc: int = 16,
-                               lambda_samples: int = 8) -> float:
+                               trunc: int = 16) -> float:
     """max || F(p_t z, q_t lambda) - T(t) F(z, lambda) T(t)^{-1} ||.
 
     Frame transport under the homogeneity condition of a radial potential.
@@ -240,7 +236,7 @@ def homogeneity_frame_residual(spec, t_values, z_values, p0: float = 1.0,
     k, n = spec.monomial_exponents()
     hd = homogeneity_params(k, n, p0)
     surf = PipelineSurface(spec, 1.0, trunc)
-    lams = su3.unit_circle(lambda_samples)
+    lams = su3.unit_circle(TRANSPORT_SAMPLES)
     worst = 0.0
     for t in t_values:
         p, q = hd.p_at(t), hd.q_at(t)

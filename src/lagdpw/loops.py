@@ -24,6 +24,7 @@ from .errors import SingularLoop
 
 COND_LIMIT = 1e12
 DEFAULT_CIRCLE_SAMPLES = 24
+EXP_GUARD = 8  # extra degrees loop_exp carries beyond trunc
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,10 @@ class LoopMatrix:
         return self.evaluate_many(np.array([lam]))[0]
 
     def evaluate_many(self, lams: np.ndarray) -> np.ndarray:
-        """g(lam) at each of lams, (n, 3, 3); Horner over the degree window."""
-        pw = np.asarray(lams)[:, None, None]
-        acc = np.zeros((len(pw), 3, 3), dtype=complex)
-        for c in self.coeffs[::-1]:
-            acc = acc * pw + c
-        return acc * pw ** self.min_degree
+        """g(lam) at each of lams, (n, 3, 3): the power table lam^d contracted with G_d."""
+        powers = np.asarray(lams)[:, None] ** np.arange(self.min_degree, self.max_degree + 1)
+        # unoptimized einsum sums each value in one order for any len(lams)
+        return np.einsum("ld,dij->lij", powers, self.coeffs)
 
     def wiener_norm(self) -> float:
         """Sum over degrees of the entrywise max norm of each coefficient."""
@@ -155,13 +154,13 @@ def loop_scale(a: LoopMatrix, s: complex) -> LoopMatrix:
     return LoopMatrix(a.coeffs * s, a.min_degree, a.twisted)
 
 
-def loop_exp(x: LoopMatrix, trunc: int, guard: int = 8) -> LoopMatrix:
+def loop_exp(x: LoopMatrix, trunc: int) -> LoopMatrix:
     """exp of a loop by scaling-and-squaring over the truncated algebra.
 
-    Internal window is trunc+guard so cross terms shed during squaring stay
-    below the target accuracy; the result is clipped to |d| <= trunc.
+    Internal window is trunc+EXP_GUARD so cross terms shed during squaring
+    stay below the target accuracy; the result is clipped to |d| <= trunc.
     """
-    work = trunc + guard
+    work = trunc + EXP_GUARD
     nrm = x.wiener_norm()
     s = max(0, int(np.ceil(np.log2(max(nrm, 1e-300) / 0.5))))
     xs = loop_scale(x, 0.5 ** s)

@@ -27,6 +27,8 @@ from .factorization import iwasawa
 from .loops import LoopMatrix, loop_scale, loop_exp
 
 CLOSING_TOL = 1e-9
+COCYCLE_SAMPLES = 12  # lambdas of S^1 at which cocycle_residual compares lifts
+PHASE_STEPS = 720     # gauge phases of cocycle_residual's scan before refinement
 _CUBE_ROOTS = tuple(np.exp(2j * np.pi * k / 3) for k in range(3))
 
 
@@ -42,12 +44,19 @@ def closing_delta(l1: int, l2: int, l3: int, lambda0: complex = 1.0) -> complex:
                                          + 1j * (l3 - l2) / math.sqrt(3.0))
 
 
+def _closing_match(delta: complex, lambda0: complex):
+    """(k, ||M - c_k I||) for the cube root c_k = e^{2 pi i k/3} nearest M(delta, lambda0)."""
+    m = monodromy(delta, lambda0)
+    dists = [float(np.linalg.norm(m - c * np.eye(3))) for c in _CUBE_ROOTS]
+    k = int(np.argmin(dists))
+    return k, dists[k]
+
+
 def check_closing(delta: complex, lambda0: complex = 1.0,
                   tol: float = CLOSING_TOL):
     """(closed, c): closed iff ||M - c I|| < tol for the best cube root c."""
-    m = monodromy(delta, lambda0)
-    best = min(_CUBE_ROOTS, key=lambda c: np.linalg.norm(m - c * np.eye(3)))
-    return bool(np.linalg.norm(m - best * np.eye(3)) < tol), complex(best)
+    k, residual = _closing_match(delta, lambda0)
+    return bool(residual < tol), complex(_CUBE_ROOTS[k])
 
 
 @dataclass(frozen=True)
@@ -65,13 +74,11 @@ class ClosingReport:
 def closing_report(l1: int, l2: int, l3: int,
                    lambda0: complex = 1.0) -> ClosingReport:
     delta = closing_delta(l1, l2, l3, lambda0)
-    m = monodromy(delta, lambda0)
-    dists = [float(np.linalg.norm(m - c * np.eye(3))) for c in _CUBE_ROOTS]
-    k = int(np.argmin(dists))
+    k, residual = _closing_match(delta, lambda0)
     return ClosingReport(delta=delta, lambda0=complex(lambda0),
-                         closed=dists[k] < CLOSING_TOL,
+                         closed=residual < CLOSING_TOL,
                          c=complex(_CUBE_ROOTS[k]), k_residue=k,
-                         residual=dists[k],
+                         residual=residual,
                          omega1=closing_delta(1, 0, 0, lambda0),
                          omega2=closing_delta(0, 0, 1, lambda0))
 
@@ -89,8 +96,7 @@ def translational_frame(d_matrix: LoopMatrix, x: float, trunc: int = 16) -> Loop
 
 
 def cocycle_residual(d_matrix: LoopMatrix, x: float, y: float,
-                     trunc: int = 16, lambda_samples: int = 12,
-                     phase_steps: int = 720) -> float:
+                     trunc: int = 16) -> float:
     """Gauge-minimized lift cocycle defect of the equivariant frame.
 
     The equivariant frame differs from the unique-Iwasawa frame by a K-gauge
@@ -100,7 +106,7 @@ def cocycle_residual(d_matrix: LoopMatrix, x: float, y: float,
     f_xy = translational_frame(d_matrix, x + y, trunc)
     f_x = translational_frame(d_matrix, x, trunc)
     f_y = translational_frame(d_matrix, y, trunc)
-    lams = su3.unit_circle(lambda_samples)
+    lams = su3.unit_circle(COCYCLE_SAMPLES)
     lift_xy = f_xy.evaluate_many(lams)[:, :, 2]  # F e_3 at each lambda
     fx_vals = f_x.evaluate_many(lams)
     lift_y = f_y.evaluate_many(lams)[:, :, 2]
@@ -111,11 +117,11 @@ def cocycle_residual(d_matrix: LoopMatrix, x: float, y: float,
         moved = np.einsum("lij,...j,lj->...li", fx_vals, k, lift_y)
         return np.max(np.linalg.norm(lift_xy - moved, axis=-1), axis=-1)
 
-    phis = np.linspace(0.0, 2 * np.pi, phase_steps, endpoint=False)
+    phis = np.linspace(0.0, 2 * np.pi, PHASE_STEPS, endpoint=False)
     i0 = int(np.argmin(defect(phis)))
     # golden-section refinement of the single continuous gauge parameter
     gr = (math.sqrt(5) - 1) / 2
-    a, b = phis[i0] - 2 * np.pi / phase_steps, phis[i0] + 2 * np.pi / phase_steps
+    a, b = phis[i0] - 2 * np.pi / PHASE_STEPS, phis[i0] + 2 * np.pi / PHASE_STEPS
     c1 = b - gr * (b - a)
     c2 = a + gr * (b - a)
     f1, f2 = defect(c1), defect(c2)

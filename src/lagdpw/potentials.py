@@ -36,6 +36,7 @@ from .errors import NotVacuum, PoleAtOrigin, SchemaError
 from .loops import LoopMatrix, algebra_twist_residual
 
 KINDS = ("normalized", "constant_degree_one", "radial_monomial", "rotational", "vacuum")
+SYMMETRY_ANGLES = 12  # z per ring in check_potential_symmetry
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ class PotentialSpec:
     psi0: complex | None = None
     d_matrix: LoopMatrix | None = None
     m: int | None = None
-    base_point: complex = 0.0 + 0.0j
     gauge_delta: float = 0.0
     coord_scale: complex = 1.0 + 0.0j
 
@@ -313,7 +313,7 @@ def rotational_potential(m: int, a_fn: Poly, b_fn: Poly):
 
 
 def check_potential_symmetry(spec: PotentialSpec, p: complex, q: complex,
-                             T: np.ndarray, samples: int = 12) -> float:
+                             T: np.ndarray) -> float:
     """max over sampled (z, lambda) of || p eta(pz, q lambda) - T eta(z,lambda) T^{-1} ||.
 
     The extra factor p is the dz-pullback of gamma.z = p z; the condition is
@@ -322,7 +322,7 @@ def check_potential_symmetry(spec: PotentialSpec, p: complex, q: complex,
     t_inv = np.linalg.inv(T)
     worst = 0.0
     z_ring = [0.4, 0.9]
-    angles = np.exp(2j * np.pi * (np.arange(samples) + 0.19) / samples)
+    angles = np.exp(2j * np.pi * (np.arange(SYMMETRY_ANGLES) + 0.19) / SYMMETRY_ANGLES)
     lams = su3.unit_circle(8)
     for rad in z_ring:
         for ang in angles:
@@ -498,9 +498,19 @@ def spec_from_dict(doc: dict):
     if "lambda" in doc:
         if not isinstance(doc["lambda"], list):
             raise SchemaError("lambda", "expected a list")
-        run["lambda"] = [_complex_from(v, f"lambda[{i}]")
-                         for i, v in enumerate(doc["lambda"])]
+        run["lambda"] = circle_values([_complex_from(v, f"lambda[{i}]")
+                                       for i, v in enumerate(doc["lambda"])])
     return spec, run
+
+
+def circle_values(lams) -> list:
+    """A spec's or --lambda's values on S^1; SchemaError unless non-empty and 0.9 <= |lam| <= 1.1."""
+    if not lams:
+        raise SchemaError("lambda", "expected at least one S^1 value")
+    for i, lam in enumerate(lams):
+        if not 0.9 <= abs(lam) <= 1.1:  # NaN fails too
+            raise SchemaError(f"lambda[{i}]", f"{lam} is not near S^1")
+    return [lam / abs(lam) for lam in lams]
 
 
 def spec_to_dict(spec: PotentialSpec) -> dict:

@@ -38,6 +38,8 @@ A_CLIFFORD = np.array(
 
 IDENTITY = np.eye(3, dtype=complex)
 
+CIRCLE_OFFSET = 0.37  # unit_circle's turn, in units of its sample spacing
+
 # Conjugation weights of sigma^2 = Ad(diag(eps^4, eps^2, 1)).
 WEIGHTS = np.array([4, 2, 0])
 _ENTRY_GRADE = np.mod(WEIGHTS[:, None] - WEIGHTS[None, :], 6)  # values in {0, 2, 4}
@@ -119,6 +121,6 @@ def unitarity_defect(g: np.ndarray):
     return op_norm(np.conj(np.swapaxes(g, -1, -2)) @ g - IDENTITY)
 
 
-def unit_circle(n: int, offset: float = 0.37) -> np.ndarray:
-    """n sample points on S^1, offset to avoid eps-multiple coincidences."""
-    return np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+def unit_circle(n: int) -> np.ndarray:
+    """n sample points on S^1, turned by CIRCLE_OFFSET to avoid eps-multiple coincidences."""
+    return np.exp(2j * np.pi * (np.arange(n) + CIRCLE_OFFSET) / n)

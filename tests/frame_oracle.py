@@ -1,8 +1,8 @@
 """Independent oracle for the holomorphic frame: adaptive Dormand-Prince 4(5).
 
 ``rk45_frame`` integrates dC = C eta coefficientwise from the pointwise
-values of ``spec.coefficient_matrix`` along the straight segment from the
-base point, or along a polygonal path of waypoints.  It shares nothing with
+values of ``spec.coefficient_matrix`` along the straight segment from 0,
+or along a polygonal path of waypoints.  It shares nothing with
 the exact Picard stack of ``lagdpw.dpw`` beyond the potential's slots.
 """
 
@@ -59,7 +59,7 @@ def rk45_frame(spec, z: complex, trunc: int, tol: float, path=None) -> LoopMatri
 
     The local error is kept near ``tol`` per unit path length.
     """
-    waypoints = [spec.base_point] + (list(path) if path else []) + [z]
+    waypoints = [0.0] + (list(path) if path else []) + [z]
     y = np.zeros((trunc + 1, 3, 3), dtype=complex)
     y[-1] = np.eye(3)
 

@@ -41,15 +41,16 @@ def test_build_clifford(tmp_path):
 
 
 def test_build_deterministic_across_runs(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    args = ("build", "--spec", str(SPEC_DIR / "rp2.json"),
-            "--grid", SMALL_GRID)
-    p1 = run_cli(*args, "--out", str(a))
-    p2 = run_cli(*args, "--out", str(b))
-    assert p1.returncode == 0 and p2.returncode == 0
-    for name in ("samples.csv", "report.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    for spec in ("clifford", "radial_ab", "radial_k1", "rotational_m4", "rp2"):
+        a = tmp_path / spec / "a"
+        b = tmp_path / spec / "b"
+        args = ("build", "--spec", str(SPEC_DIR / f"{spec}.json"),
+                "--grid", SMALL_GRID)
+        p1 = run_cli(*args, "--out", str(a))
+        p2 = run_cli(*args, "--out", str(b))
+        assert p1.returncode == 0 and p2.returncode == 0, spec
+        for name in ("samples.csv", "report.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (spec, name)
 
 
 def test_validate_rp2(tmp_path):
@@ -156,6 +157,24 @@ def test_symmetry_command_rotational():
     assert doc["m"] == 4
     assert doc["potential_residual"] < 1e-12
     assert doc["surface_residual"] < 1e-7
+
+
+@pytest.mark.parametrize("command", ["build", "validate"])
+@pytest.mark.parametrize("spec_lambda, flag", [(None, ","), ([], None), ([2], None),
+                                               (None, "2")])
+def test_bad_lambda_list_is_schema_error(tmp_path, capsys, command, spec_lambda, flag):
+    # an empty list used to end validate in an IndexError and build with 0
+    # samples; a spec value off S^1 was a ValueError (exit 3), unlike --lambda
+    doc = json.loads((SPEC_DIR / "rp2.json").read_text())
+    if spec_lambda is not None:
+        doc["lambda"] = spec_lambda
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    argv = [command, "--spec", str(spec), "--grid", SMALL_GRID, "--out", str(tmp_path / "o")]
+    code = cli.main(argv + ([f"--lambda={flag}"] if flag is not None else []))
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_schema_error_exit_code(tmp_path):

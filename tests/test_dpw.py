@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,10 +79,9 @@ _SMALL_COEFF = st.complex_numbers(max_magnitude=1.0)
 @settings(max_examples=15, deadline=None)
 @given(st.lists(_SMALL_COEFF, min_size=1, max_size=3),
        st.lists(_SMALL_COEFF, min_size=1, max_size=3),
-       st.complex_numbers(max_magnitude=1.0),
-       st.sampled_from([0.0, 0.5 - 0.25j]))
-def test_exact_frame_matches_rk45_on_random_polys(a, b, z, base):
-    spec = replace(normalized_spec(Poly.of(*a), Poly.of(*b)), base_point=base)
+       st.complex_numbers(max_magnitude=1.0))
+def test_exact_frame_matches_rk45_on_random_polys(a, b, z):
+    spec = normalized_spec(Poly.of(*a), Poly.of(*b))
     gap = _relative_gap(integrate_frame(spec, z, 16), rk45_frame(spec, z, 16, ORACLE_TOL))
     assert gap < 1e-9
 
@@ -157,30 +155,30 @@ def test_surface_sample_radial_branch_point():
 
 def test_grid_sample_clifford_flat():
     grid = GridSpec(kind="polar", r_max=2.0, n_r=4, n_theta=8)
-    samples, field, failures = grid_sample(CL, grid, [1.0])
+    samples, failures = grid_sample(CL, grid, [1.0])
     assert len(samples) == 32 and not failures
     assert max(abs(s.u) for s in samples) < 1e-8
-    # frame field normalized at the base point
+    # the frame is normalized at z = 0
     fp0 = frame_point(CL, 0.0, 16)
     assert max_distance_on_circle(fp0.frame, LoopMatrix.identity()) < 1e-12
 
 
 def test_grid_sample_empty():
-    samples, field, failures = grid_sample(CL, [], [1.0])
-    assert samples == [] and field.points == () and failures == []
+    samples, failures = grid_sample(CL, [], [1.0])
+    assert samples == [] and failures == []
 
 
 def test_grid_sample_collects_failures():
     # the branch point z = 0 is not fatal for the rest of the grid
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
-    samples, field, failures = grid_sample(spec, [0.5, 0.9], [1.0])
+    samples, failures = grid_sample(spec, [0.5, 0.9], [1.0])
     assert len(samples) == 2 and not failures
 
 
 def test_grid_sample_run_determinism():
     grid = GridSpec(kind="polar", r_max=1.0, n_r=3, n_theta=4)
-    s1, _, _ = grid_sample(CL, grid, [1.0])
-    s2, _, _ = grid_sample(CL, grid, [1.0])
+    s1, _ = grid_sample(CL, grid, [1.0])
+    s2, _ = grid_sample(CL, grid, [1.0])
     assert len(s1) == len(s2) == 12
     for a, b in zip(s1, s2):
         assert np.array_equal(a.lift, b.lift)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bundled_spec, random_twisted_group_loop
 from lagdpw import dpw, factorization, su3
-from lagdpw.errors import IllConditioned, OutsideBigCell
+from lagdpw.errors import DomainError, IllConditioned, OutsideBigCell
 from lagdpw.factorization import birkhoff, iwasawa
 from lagdpw.loops import (LoopMatrix, loop_exp, loop_product, max_distance_on_circle,
                           twist_residual, unitarity_residual)
@@ -214,3 +214,11 @@ def test_iwasawa_single_qr_for_off_grade_mass():
     assert not factorization._grade_split(LoopMatrix.constant(u, twisted=True))
     assert not factorization._grade_split(LoopMatrix.constant(np.eye(3), twisted=False))
     assert factorization._grade_split(clifford_minus(Z))
+
+
+@pytest.mark.parametrize("split", [birkhoff, iwasawa])
+@pytest.mark.parametrize("trunc", [0, -1])
+def test_split_rejects_trunc_below_one(split, trunc):
+    g = random_twisted_group_loop(np.random.default_rng(3))
+    with pytest.raises(DomainError, match="trunc >= 1"):
+        split(g, trunc)
