@@ -10,6 +10,7 @@ byte-stable across runs (see README for the frozen column order).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -197,14 +198,13 @@ def _cmd_build(args) -> int:
 
 def _cmd_validate(args) -> int:
     spec, grid, lambdas, trunc = _load_config(args)
-    surf = dpw.PipelineSurface(spec, lambdas[0], trunc)
     nodes = [z for z in grid.nodes() if abs(z) > 1e-9]
-    report = geometry.certify(surf, nodes, h=args.h)
-    doc = json.loads(report.to_json())
-    doc["thresholds"] = VALIDATE_THRESHOLDS
+    report = geometry.certify(dpw.PipelineSurface(spec, lambdas, trunc), nodes, h=args.h)
+    doc = dataclasses.asdict(report)
     failed = {k: doc[k] for k, thr in VALIDATE_THRESHOLDS.items()
               if not (doc[k] <= thr)}
-    doc["passed"] = not failed
+    doc.update(lambda0=[[lam.real, lam.imag] for lam in lambdas],
+               thresholds=VALIDATE_THRESHOLDS, passed=not failed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out / "report.json", doc)
@@ -262,7 +262,8 @@ def _cmd_symmetry(args) -> int:
         result["potential_residual"] = potentials.check_potential_symmetry(
             spec, p, 1.0, t_mat)
         result["surface_residual"] = geometry.symmetry_residual(
-            spec, lambda z: p * z, t_mat, nodes, lambdas[0], trunc)
+            spec, lambda z: p * z, t_mat, nodes, lambdas, trunc)
+        result["lambda0"] = [[lam.real, lam.imag] for lam in lambdas]
     elif spec.is_radial:
         k, n = spec.monomial_exponents()
         hd = potentials.homogeneity_params(k, n, 1.0)

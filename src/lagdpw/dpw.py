@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,6 +145,7 @@ class SurfaceSample:
     singular: bool
     residual: float = 0.0
     tail: float = 0.0
+    frame: LoopMatrix | None = field(default=None, repr=False, compare=False)
 
 
 def _normalize_lambda0(lambda0: complex) -> complex:
@@ -292,49 +293,38 @@ def rp2_oracle(a: complex, z: complex, lambda0: complex = 1.0) -> SurfaceSample:
 
 
 # -- surface maps (uniform sampling protocol for residual certification) --------
+# samples(points): a SurfaceSample per point and lambda_0 held, point-major.
 
 class PipelineSurface:
-    """Point sampler backed by the full integrate + Iwasawa pipeline.
+    """Batched sampler backed by the full integrate + Iwasawa pipeline.
 
-    Frame points are cached by z, so finite-difference stencils and repeated
-    lambda values reuse the expensive factorizations.
+    ``lambdas`` is one S^1 value or a list.  ``samples`` solves each distinct
+    point once and extracts a sample for every lambda_0 from its frame, so
+    stencils and lambda lists share the expensive factorizations.
     """
 
-    def __init__(self, spec: PotentialSpec, lambda0: complex = 1.0,
-                 trunc: int = DEFAULT_TRUNC):
+    def __init__(self, spec: PotentialSpec, lambdas=1.0, trunc: int = DEFAULT_TRUNC):
         self.spec = spec
-        self.lambda0 = _normalize_lambda0(lambda0)
+        self.lambdas = tuple(_normalize_lambda0(lam) for lam in np.atleast_1d(lambdas))
         self.trunc = trunc
-        self._points: dict[complex, FramePoint] = {}
 
-    def frame_point(self, z: complex) -> FramePoint:
-        z = complex(z)
-        fp = self._points.get(z)
-        if fp is None:
-            fp = frame_point(self.spec, z, self.trunc)
-            self._points[z] = fp
-        return fp
+    def frame_point(self, z: complex) -> FramePoint:  # a span of bench/tracer.py
+        return frame_point(self.spec, z, self.trunc)
 
-    def sample(self, z: complex) -> SurfaceSample:
-        return sample_from_frame(self.spec, self.frame_point(z), self.lambda0)
-
-    def lift(self, z: complex) -> np.ndarray:
-        return self.sample(z).lift
-
-    def frame_at(self, z: complex, lams: np.ndarray) -> np.ndarray:
-        """The extended frame at z for each of lams, (n, 3, 3)."""
-        return self.frame_point(z).frame.evaluate_many(lams)
+    def samples(self, points) -> list:
+        """Samples carrying their frame, for the frame checks of ``geometry.certify``."""
+        points = [complex(z) for z in points]
+        frames = {z: self.frame_point(z) for z in dict.fromkeys(points)}
+        return [replace(sample_from_frame(self.spec, frames[z], lam), frame=frames[z].frame)
+                for z in points for lam in self.lambdas]
 
 
 class CliffordSurface:
     def __init__(self, lambda0: complex = 1.0):
         self.lambda0 = _normalize_lambda0(lambda0)
 
-    def sample(self, z: complex) -> SurfaceSample:
-        return clifford_oracle(z, self.lambda0)
-
-    def lift(self, z: complex) -> np.ndarray:
-        return self.sample(z).lift
+    def samples(self, points) -> list:
+        return [clifford_oracle(z, self.lambda0) for z in points]
 
 
 class RP2Surface:
@@ -342,11 +332,8 @@ class RP2Surface:
         self.a = complex(a)
         self.lambda0 = _normalize_lambda0(lambda0)
 
-    def sample(self, z: complex) -> SurfaceSample:
-        return rp2_oracle(self.a, z, self.lambda0)
-
-    def lift(self, z: complex) -> np.ndarray:
-        return self.sample(z).lift
+    def samples(self, points) -> list:
+        return [rp2_oracle(self.a, z, self.lambda0) for z in points]
 
 
 # -- axis metric continuation ----------------------------------------------------

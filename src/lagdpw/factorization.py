@@ -65,10 +65,9 @@ import numpy as np
 
 from . import su3
 from .errors import DomainError, IllConditioned, OutsideBigCell
-from .loops import DEFAULT_CIRCLE_SAMPLES, LoopMatrix
+from .loops import COND_LIMIT, DEFAULT_CIRCLE_SAMPLES, LoopMatrix
 from .loops import max_distance_on_circle  # noqa: F401  (bench/selftest.py traces this binding)
 
-COND_LIMIT = 1e12
 GRADE_TOL = 1e-13  # off-grade mass, relative to the largest coefficient, for the split
 INDEX_CACHE_SIZE = 32
 

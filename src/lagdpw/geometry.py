@@ -1,10 +1,11 @@
 """Residual certification: horizontality, conformality, integrability, symmetry.
 
 All derivatives are Wirtinger derivatives taken by real/imaginary central
-differences, d/dz = (d/dx - i d/dy)/2, with a local stencil of step h around
-each evaluation node (h is recorded in the report as stencil_h).  First
-derivatives use the 4th-order 5-point rule; second derivatives use the
-4th-order axis rule plus a Richardson-extrapolated cross term.
+differences, d/dz = (d/dx - i d/dy)/2, on a stencil of step h around each
+node (recorded as stencil_h), sampled for all nodes in one ``samples`` call
+of the surface; the rules act on arrays over the nodes and every lambda_0.
+First derivatives use the 4th-order 5-point rule; second derivatives use
+the 4th-order axis rule plus a Richardson-extrapolated cross term.
 
 The Hopf coefficient measured from a lift at loop parameter lambda_0 is
 nu * psi with nu = -i lambda_0^{-3} (the associated family scales the cubic
@@ -14,20 +15,24 @@ directly comparable with the potential-level psi.
 
 from __future__ import annotations
 
-import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import su3
+from .dpw import DEFAULT_TRUNC, PipelineSurface, frame_point, sample_from_frame
 from .errors import DomainError, GridTooCoarse
 from .loops import loop_product, loop_scale, loop_sum
 
 S1_SAMPLES = 12         # lambdas per node of the frame unitarity/determinant checks
 TRANSPORT_SAMPLES = 8   # lambdas per (t, z) of the homogeneity frame transport
+MIN_NODES = 5           # certified nodes a report needs
 
-_DOT = lambda a, b: complex(np.sum(a * np.conj(b)))  # Hermitian Z . conj(W)
+# (x, y) offsets, in units of h, of the stencil corners beyond the two axes
+CORNERS = ((-1, -1), (1, -1), (-1, 1), (1, 1))
+WIDE_CORNERS = ((-2, -2), (2, -2), (-2, 2), (2, 2))  # the Richardson cross term
 
 
 @dataclass(frozen=True)
@@ -39,18 +44,52 @@ class ResidualReport:
     tzitzeica: float
     codazzi: float
     stencil_h: float
-    symmetry: float | None = None
 
-    def to_json(self) -> str:
-        doc = {k: v for k, v in self.__dict__.items() if v is not None}
-        return json.dumps(doc, indent=2, sort_keys=True)
 
-    def worst(self) -> float:
-        vals = [self.horizontality, self.conformality, self.unitarity,
-                self.determinant, self.tzitzeica, self.codazzi]
-        if self.symmetry is not None:
-            vals.append(self.symmetry)
-        return max(vals)
+StructureResiduals = namedtuple("StructureResiduals",
+                                "horizontality conformality unitarity determinant")
+
+
+@dataclass(frozen=True)
+class Stencil:
+    """Surface samples on every node's stencil: ``samples[n, k, l]`` at node n,
+    offset ``offsets[k]`` ((x, y) in units of h) and the surface's l-th lambda_0."""
+    h: float
+    offsets: tuple
+    samples: np.ndarray  # of SurfaceSample
+
+    def values(self, name: str) -> dict:
+        """{offset: (n, L, ...) array} of one SurfaceSample field."""
+        vals = np.array([getattr(s, name) for s in self.samples.flat])
+        vals = vals.reshape(self.samples.shape + vals.shape[1:])
+        return dict(zip(self.offsets, np.moveaxis(vals, 1, 0)))
+
+
+def _sample_stencil(surface, nodes, h: float, corners) -> Stencil:
+    """Every stencil point of every node, sampled in one ``surface.samples`` call.
+
+    The points are the centre, z +- h, z +- 2h, z +- ih, z +- 2ih and the
+    given corners; each is listed once, so every rule reads the same sample.
+    """
+    z = np.asarray(list(nodes), dtype=complex)
+    pts = {(0, 0): z, (2, 0): z + 2 * h, (1, 0): z + h, (-1, 0): z - h, (-2, 0): z - 2 * h,
+           (0, 2): z + 2j * h, (0, 1): z + 1j * h, (0, -1): z - 1j * h, (0, -2): z - 2j * h}
+    pts.update({(ix, iy): z + ix * h + 1j * iy * h for ix, iy in corners})
+    grid = np.stack(list(pts.values()), axis=1)  # (n, K), node-major
+    samples = np.array(surface.samples(grid.ravel()), dtype=object)
+    n_lam = samples.size // max(grid.size, 1)  # the surface's lambda_0 count
+    return Stencil(h, tuple(pts), samples.reshape(grid.shape + (n_lam,)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hermitian a . conj(b) over the last axis, summed left to right like np.sum of three."""
+    p = a * np.conj(b)
+    return p[..., 0] + p[..., 1] + p[..., 2]
+
+
+def _abs(w: np.ndarray) -> np.ndarray:
+    """|w| as hypot(re, im): bit-equal to Python's abs of each complex."""
+    return np.hypot(w.real, w.imag)
 
 
 def fubini_study_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -60,190 +99,168 @@ def fubini_study_distance(u: np.ndarray, v: np.ndarray) -> float:
     """
     u = u / np.linalg.norm(u)
     v = v / np.linalg.norm(v)
-    c = _DOT(v, u)
+    c = complex(_dot(v, u))
     return float(math.atan2(np.linalg.norm(v - c * u), abs(c)))
 
 
-def _wirtinger_first(f, z: complex, h: float):
-    """(f_z, f_zbar) by 4th-order central differences."""
-    fx = (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
-    fy = (-f(z + 2j * h) + 8 * f(z + 1j * h) - 8 * f(z - 1j * h)
-          + f(z - 2j * h)) / (12 * h)
+def _first(f: dict, h: float):
+    """(f_z, f_zbar) by the 4th-order 5-point rules on the axes."""
+    fx = (-f[2, 0] + 8 * f[1, 0] - 8 * f[-1, 0] + f[-2, 0]) / (12 * h)
+    fy = (-f[0, 2] + 8 * f[0, 1] - 8 * f[0, -1] + f[0, -2]) / (12 * h)
     return (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
 
 
-def _wirtinger_second_zz(f, z: complex, h: float):
-    """f_zz = (f_xx - f_yy - 2i f_xy)/4, 4th order."""
-    f0 = f(z)
-    fxx = (-f(z + 2 * h) + 16 * f(z + h) - 30 * f0 + 16 * f(z - h)
-           - f(z - 2 * h)) / (12 * h * h)
-    fyy = (-f(z + 2j * h) + 16 * f(z + 1j * h) - 30 * f0 + 16 * f(z - 1j * h)
-           - f(z - 2j * h)) / (12 * h * h)
+def _second_zz(f: dict, h: float):
+    """f_zz = (f_xx - f_yy - 2i f_xy)/4, 4th order; needs the corners and the wide corners."""
+    f0 = f[0, 0]
+    fxx = (-f[2, 0] + 16 * f[1, 0] - 30 * f0 + 16 * f[-1, 0] - f[-2, 0]) / (12 * h * h)
+    fyy = (-f[0, 2] + 16 * f[0, 1] - 30 * f0 + 16 * f[0, -1] - f[0, -2]) / (12 * h * h)
 
-    def cross(step):
-        return (f(z + step + 1j * step) + f(z - step - 1j * step)
-                - f(z + step - 1j * step) - f(z - step + 1j * step)) / (4 * step * step)
+    def cross(k):
+        step = k * h
+        return (f[k, k] + f[-k, -k] - f[k, -k] - f[-k, k]) / (4 * step * step)
 
-    fxy = (4 * cross(h) - cross(2 * h)) / 3
+    fxy = (4 * cross(1) - cross(2)) / 3
     return (fxx - fyy - 2j * fxy) / 4
 
 
 def hopf_coefficient(surface, z: complex, h: float = 1e-3) -> complex:
-    """psi from the lift: i lambda_0^3 * (f_zz . conj(f_zbar))."""
-    lift = surface.lift
-    _, fzb = _wirtinger_first(lift, z, h)
-    fzz = _wirtinger_second_zz(lift, z, h)
-    lam = getattr(surface, "lambda0", 1.0)
-    return 1j * lam ** 3 * _DOT(fzz, fzb)
+    """psi from the lift: i lambda_0^3 * (f_zz . conj(f_zbar)), for a surface with one lambda_0."""
+    st = _sample_stencil(surface, [z], h, CORNERS + WIDE_CORNERS)
+    if st.samples.shape[2] != 1:
+        raise ValueError(f"hopf_coefficient needs one lambda_0, got {st.samples.shape[2]}")
+    f = st.values("lift")
+    _, fzb = _first(f, h)
+    psi_nu = complex(_dot(_second_zz(f, h), fzb)[0, 0])
+    return 1j * st.samples[0, 0, 0].lambda0 ** 3 * psi_nu
 
 
-def structure_residuals(surface, nodes, h: float = 1e-3) -> ResidualReport:
-    """Horizontality/conformality of the lift, unitarity/det of the frame.
-
-    ``surface`` provides .sample(z) (and .frame_at(z, lams), the frame at an
-    array of lambdas, where frame checks apply); residuals are maxima over the
-    node list.
-    """
-    nodes = list(nodes)
-    if len(nodes) < 5:
-        raise GridTooCoarse(f"need at least 5 nodes, got {len(nodes)}")
-    lift = surface.lift
-    frame_at = getattr(surface, "frame_at", None)
+def structure_residuals(st: Stencil) -> StructureResiduals:
+    """Horizontality/conformality of the lift and unitarity/det of the frames, maxima over st."""
+    f = st.values("lift")
+    fz, fzb = _first(f, st.h)
+    horiz = _abs(_dot(fz, f[0, 0])) + _abs(_dot(fzb, f[0, 0]))
+    # math.exp: numpy's vectorized exp may differ from it in the last bit
+    eu = np.vectorize(math.exp, otypes=[float])(st.values("u")[0, 0])
+    conf = np.maximum(_abs(_dot(fz, fz) - eu), _abs(_dot(fz, fzb)))
     lams = su3.unit_circle(S1_SAMPLES)
-
-    horiz = conf = unit = det = 0.0
-    for z in nodes:
-        s = surface.sample(z)
-        if s.singular:
-            continue
-        fz, fzb = _wirtinger_first(lift, z, h)
-        f0 = s.lift
-        horiz = max(horiz, abs(_DOT(fz, f0)) + abs(_DOT(fzb, f0)))
-        eu = math.exp(s.u)
-        conf = max(conf, abs(_DOT(fz, fz) - eu), abs(_DOT(fz, fzb)))
-        if frame_at is not None:
-            fr = frame_at(z, lams)
-            unit = max(unit, float(np.max(su3.unitarity_defect(fr))))
-            det = max(det, float(np.max(np.abs(np.linalg.det(fr) - 1.0))))
-    return ResidualReport(horizontality=horiz, conformality=conf,
-                          unitarity=unit, determinant=det,
-                          tzitzeica=math.nan, codazzi=math.nan, stencil_h=h)
+    fr = np.stack([s.frame.evaluate_many(lams) for s in st.samples[:, 0, 0]
+                   if s.frame is not None] or [su3.IDENTITY[None]])  # oracles carry no frame
+    return StructureResiduals(float(np.max(horiz)), float(np.max(conf)),
+                              float(np.max(su3.unitarity_defect(fr))),
+                              float(np.max(np.abs(np.linalg.det(fr) - 1.0))))
 
 
 def tzitzeica_residual(u_grid: np.ndarray, psi_grid: np.ndarray, h: float) -> float:
-    """max | u_zzbar + e^u - e^{-2u} |psi|^2 | with u_zzbar = Lap(u)/4."""
+    """max | u_zzbar + e^u - e^{-2u} |psi|^2 | with u_zzbar = Lap(u)/4.
+
+    Over a grid, or a stack of grids on the last two axes.
+    """
     u = np.asarray(u_grid, dtype=float)
     psi = np.asarray(psi_grid, dtype=complex)
-    if u.ndim != 2 or min(u.shape) < 3:
+    if u.ndim < 2 or min(u.shape[-2:]) < 3:
         raise GridTooCoarse("need a 2-d grid with at least 3 nodes per direction")
-    lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
-           - 4.0 * u[1:-1, 1:-1]) / (h * h)
-    ui = u[1:-1, 1:-1]
-    res = lap / 4.0 + np.exp(ui) - np.exp(-2.0 * ui) * np.abs(psi[1:-1, 1:-1]) ** 2
+    lap = (u[..., 2:, 1:-1] + u[..., :-2, 1:-1] + u[..., 1:-1, 2:] + u[..., 1:-1, :-2]
+           - 4.0 * u[..., 1:-1, 1:-1]) / (h * h)
+    ui = u[..., 1:-1, 1:-1]
+    res = lap / 4.0 + np.exp(ui) - np.exp(-2.0 * ui) * np.abs(psi[..., 1:-1, 1:-1]) ** 2
     return float(np.max(np.abs(res)))
 
 
 def codazzi_residual(psi_grid: np.ndarray, h: float) -> float:
     """max |psi_zbar| = max |(psi_x + i psi_y)/2| by central differences.
 
-    Uses the 4th-order rule when the grid is at least 5 nodes per direction
-    (the 2nd-order truncation error h^2 psi'''/6 does not cancel for
-    holomorphic input), the 3-point rule otherwise.
+    Over a grid, or a stack of grids on the last two axes.  Uses the
+    4th-order rule when the grid is at least 5 nodes per direction (the
+    2nd-order truncation error h^2 psi'''/6 does not cancel for holomorphic
+    input), the 3-point rule otherwise.
     """
     psi = np.asarray(psi_grid, dtype=complex)
-    if psi.ndim != 2 or min(psi.shape) < 3:
+    if psi.ndim < 2 or min(psi.shape[-2:]) < 3:
         raise GridTooCoarse("need a 2-d grid with at least 3 nodes per direction")
-    if min(psi.shape) >= 5:
-        px = (-psi[2:-2, 4:] + 8 * psi[2:-2, 3:-1]
-              - 8 * psi[2:-2, 1:-3] + psi[2:-2, :-4]) / (12 * h)
-        py = (-psi[4:, 2:-2] + 8 * psi[3:-1, 2:-2]
-              - 8 * psi[1:-3, 2:-2] + psi[:-4, 2:-2]) / (12 * h)
+    if min(psi.shape[-2:]) >= 5:
+        px = (-psi[..., 2:-2, 4:] + 8 * psi[..., 2:-2, 3:-1]
+              - 8 * psi[..., 2:-2, 1:-3] + psi[..., 2:-2, :-4]) / (12 * h)
+        py = (-psi[..., 4:, 2:-2] + 8 * psi[..., 3:-1, 2:-2]
+              - 8 * psi[..., 1:-3, 2:-2] + psi[..., :-4, 2:-2]) / (12 * h)
     else:
-        px = (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2 * h)
-        py = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2 * h)
+        px = (psi[..., 1:-1, 2:] - psi[..., 1:-1, :-2]) / (2 * h)
+        py = (psi[..., 2:, 1:-1] - psi[..., :-2, 1:-1]) / (2 * h)
     return float(np.max(np.abs((px + 1j * py) / 2)))
 
 
-def _patch(surface, z: complex, h: float):
-    """(u, psi) arrays on the 3x3 patch around z, spacing h.
-
-    Grid layout: row index = y offset, column index = x offset.
-    """
-    samples = [surface.sample(z + ix * h + 1j * iy * h) for iy in (-1, 0, 1) for ix in (-1, 0, 1)]
-    u = np.array([s.u for s in samples], dtype=float).reshape(3, 3)
-    psi = np.array([s.psi for s in samples], dtype=complex).reshape(3, 3)
-    return u, psi
+def _patch_grids(values: dict) -> np.ndarray:
+    """(..., 3, 3) patches around the nodes; row index = y offset, column index = x offset."""
+    grids = np.stack([values[ix, iy] for iy in (-1, 0, 1) for ix in (-1, 0, 1)], axis=-1)
+    return grids.reshape(grids.shape[:-1] + (3, 3))
 
 
-def integrability_residuals(surface, nodes, h: float = 1e-3):
-    """(tzitzeica, codazzi) maxima over the nodes, via local 3x3 patches."""
-    worst_t = worst_c = 0.0
-    for z in nodes:
-        if surface.sample(z).singular:
-            continue
-        u, psi = _patch(surface, z, h)
-        if not np.all(np.isfinite(u)):
-            continue
-        worst_t = max(worst_t, tzitzeica_residual(u, psi, h))
-        worst_c = max(worst_c, codazzi_residual(psi, h))
-    return worst_t, worst_c
+def integrability_residuals(st: Stencil):
+    """(tzitzeica, codazzi) maxima over the 3x3 patches of a stencil."""
+    psi = _patch_grids(st.values("psi"))
+    return tzitzeica_residual(_patch_grids(st.values("u")), psi, st.h), codazzi_residual(psi, st.h)
 
 
 def certify(surface, nodes, h: float = 1e-3) -> ResidualReport:
-    """Full residual report over a node list; DomainError unless 0 < h < inf."""
+    """Full residual report: maxima over the nodes and every lambda_0 of the surface.
+
+    A node is certified when its centre is not singular and its 3x3 patch of
+    u is finite.  GridTooCoarse unless at least MIN_NODES are; DomainError
+    unless 0 < h < inf.
+    """
     if not 0.0 < h < math.inf:
         raise DomainError(f"the stencil step needs 0 < h < inf, got h={h}")
-    rep = structure_residuals(surface, nodes, h)
-    tz, cod = integrability_residuals(surface, nodes, h)
-    return replace(rep, tzitzeica=tz, codazzi=cod)
+    st = _sample_stencil(surface, nodes, h, CORNERS)
+    keep = (~st.values("singular")[0, 0].any(axis=-1)
+            & np.isfinite(_patch_grids(st.values("u"))).all(axis=(1, 2, 3)))
+    if np.count_nonzero(keep) < MIN_NODES:
+        raise GridTooCoarse(f"{np.count_nonzero(keep)} of {len(keep)} nodes certifiable, "
+                            f"need {MIN_NODES}")
+    st = replace(st, samples=st.samples[keep])
+    return ResidualReport(*structure_residuals(st), *integrability_residuals(st), stencil_h=h)
 
 
 def symmetry_residual(spec, gamma, T: np.ndarray, nodes,
-                      lambda0: complex = 1.0, trunc: int = 16) -> float:
-    """max Fubini-Study distance between f(gamma(z), lambda0) and [T] f(z, lambda0)."""
-    from .dpw import PipelineSurface
+                      lambdas=1.0, trunc: int = DEFAULT_TRUNC) -> float:
+    """max Fubini-Study distance between f(gamma(z), lambda_0) and [T] f(z, lambda_0).
 
-    surf = PipelineSurface(spec, lambda0, trunc)
-    worst = 0.0
-    for z in nodes:
-        a = surf.lift(gamma(z))
-        b = T @ surf.lift(z)
-        worst = max(worst, fubini_study_distance(a, b))
-    return worst
+    Over the nodes and every lambda_0 of ``lambdas`` (one S^1 value or a list).
+    """
+    nodes = list(nodes)
+    out = PipelineSurface(spec, lambdas, trunc).samples([gamma(z) for z in nodes] + nodes)
+    half = len(out) // 2
+    return max((fubini_study_distance(a.lift, T @ b.lift)
+                for a, b in zip(out[:half], out[half:])), default=0.0)
 
 
-def metric_consistency_residual(surface, z: complex, h: float = 1e-4) -> float:
+def metric_consistency_residual(spec, z: complex, h: float = 1e-4,
+                                trunc: int = DEFAULT_TRUNC) -> float:
     """| |(F^{-1} F_z)_{lambda^{-1}, (1,3)}| - e^{u/2} | by loop differencing."""
-    fp = surface.frame_point(z)
-    fp_p = surface.frame_point(z + h)
-    fp_m = surface.frame_point(z - h)
+    fp, fp_p, fp_m = (frame_point(spec, w, trunc) for w in (z, z + h, z - h))
     fz = loop_scale(loop_sum(fp_p.frame, fp_m.frame, sign=-1.0), 1.0 / (2 * h))
     mc = loop_product(fp.frame.conj_transpose(), fz)
     entry = mc.coefficient(-1)[0, 2]
-    s = surface.sample(z)
-    return abs(abs(entry) - math.exp(s.u / 2.0))
+    return abs(abs(entry) - math.exp(sample_from_frame(spec, fp, 1.0).u / 2.0))
 
 
 def homogeneity_frame_residual(spec, t_values, z_values, p0: float = 1.0,
-                               trunc: int = 16) -> float:
+                               trunc: int = DEFAULT_TRUNC) -> float:
     """max || F(p_t z, q_t lambda) - T(t) F(z, lambda) T(t)^{-1} ||.
 
     Frame transport under the homogeneity condition of a radial potential.
     """
-    from .dpw import PipelineSurface
     from .potentials import homogeneity_params
 
     k, n = spec.monomial_exponents()
     hd = homogeneity_params(k, n, p0)
-    surf = PipelineSurface(spec, 1.0, trunc)
     lams = su3.unit_circle(TRANSPORT_SAMPLES)
     worst = 0.0
-    for t in t_values:
-        p, q = hd.p_at(t), hd.q_at(t)
-        t_mat = hd.T_at(t)
-        t_inv = np.linalg.inv(t_mat)
-        for z in z_values:
-            lhs = surf.frame_point(p * z).frame.evaluate_many(q * lams)
-            rhs = t_mat @ surf.frame_point(z).frame.evaluate_many(lams) @ t_inv
+    for z in z_values:
+        base = frame_point(spec, z, trunc).frame.evaluate_many(lams)
+        for t in t_values:
+            p, q = hd.p_at(t), hd.q_at(t)
+            t_mat = hd.T_at(t)
+            lhs = frame_point(spec, p * z, trunc).frame.evaluate_many(q * lams)
+            rhs = t_mat @ base @ np.linalg.inv(t_mat)
             worst = max(worst, float(np.max(su3.op_norm(lhs - rhs))))
     return worst

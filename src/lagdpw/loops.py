@@ -22,7 +22,7 @@ import numpy as np
 from . import su3
 from .errors import SingularLoop
 
-COND_LIMIT = 1e12
+COND_LIMIT = 1e12  # condition number past which a loop or split counts as singular
 DEFAULT_CIRCLE_SAMPLES = 24
 EXP_GUARD = 8  # extra degrees loop_exp carries beyond trunc
 

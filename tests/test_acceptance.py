@@ -13,9 +13,8 @@ from lagdpw.dpw import (GridSpec, PipelineSurface, RP2Surface,
                         clifford_frame_loop, axis_log_v0, frame_point,
                         rp2_oracle, surface_sample)
 from lagdpw.factorization import birkhoff, iwasawa
-from lagdpw.geometry import (homogeneity_frame_residual,
-                             hopf_coefficient, integrability_residuals,
-                             structure_residuals, symmetry_residual,
+from lagdpw.geometry import (certify, homogeneity_frame_residual,
+                             hopf_coefficient, symmetry_residual,
                              tzitzeica_residual)
 from lagdpw.loops import loop_sum
 from lagdpw.painleve import PainleveParams, crosscheck, solve_piii
@@ -58,14 +57,13 @@ def test_criterion_2_psi0_oracle_equivalence():
     grid = GridSpec(kind="polar", r_max=2.0, n_r=5, n_theta=8)
     surf = PipelineSurface(spec, 1.0, 16)
     worst_lift = 0.0
-    for z in grid.nodes():
-        s = surf.sample(z)
+    for z, s in zip(grid.nodes(), surf.samples(grid.nodes())):
         o = rp2_oracle(1j, z, 1.0)
         phase = np.vdot(o.lift, s.lift)
         phase /= abs(phase)
         worst_lift = max(worst_lift, float(np.max(np.abs(s.lift - phase * o.lift))))
     nodes = [z for z in grid.nodes() if abs(z) < 1.8][:12]
-    rep = structure_residuals(surf, nodes, h=1e-3)
+    rep = certify(surf, nodes, h=1e-3)
     ok = worst_lift < 1e-6 and rep.horizontality < 1e-5 and rep.conformality < 1e-5
     report(2, ok, f"lift vs closed form {worst_lift:.2e} (<1e-6), "
                   f"horizontality {rep.horizontality:.2e}, "
@@ -80,7 +78,7 @@ def test_criterion_3_wu_round_trip():
     for name in IMMERSED:
         spec, _ = bundled_spec(name)
         surf = PipelineSurface(spec, 1.0, 16)
-        u00 = surf.sample(0.0).u
+        u00 = surf.samples([0.0])[0].u
         w_axis = axis_log_v0(spec, radius=1.0)
         err = 0.0
         for z in probes:
@@ -104,7 +102,8 @@ def test_criterion_4_integrability_certification():
         grid = GridSpec.from_dict(run["grid"])
         surf = PipelineSurface(spec, 1.0, 16)
         nodes = [z for z in grid.nodes() if abs(z) > 1e-9]
-        tz, cod = integrability_residuals(surf, nodes, h)
+        rep = certify(surf, nodes, h)
+        tz, cod = rep.tzitzeica, rep.codazzi
         detail.append(f"{name} tz {tz:.1e} cod {cod:.1e}")
         worst_tz = max(worst_tz, tz)
         worst_cod = max(worst_cod, cod)
@@ -117,7 +116,7 @@ def test_criterion_4_integrability_certification():
         z0 = 0.6 + 0.3j
         ii, jj = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
         zs = z0 + (jj + 1j * ii) * step
-        u = np.vectorize(lambda z: surf.sample(z).u)(zs)
+        u = np.array([s.u for s in surf.samples(zs.ravel())]).reshape(zs.shape)
         return tzitzeica_residual(u, np.zeros_like(zs), step)
 
     ratio = rp2_res(2e-3) / rp2_res(1e-3)

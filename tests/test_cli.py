@@ -351,3 +351,56 @@ def test_build_never_loads_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert (tmp_path / "o" / "samples.csv").is_file()
+
+
+_RING = '{"kind":"polar","r_max":0.6,"n_r":1,"n_theta":5}'
+_RESIDUALS = tuple(cli.VALIDATE_THRESHOLDS)
+
+
+def _validate(tmp_path, name, lam, spec="rp2.json", grid=_RING):
+    out = tmp_path / name
+    code = cli.main(["validate", "--spec", str(SPEC_DIR / spec), "--grid", grid,
+                     f"--lambda={lam}", "--out", str(out)])
+    return code, out / "report.json"
+
+
+def test_validate_certifies_every_lambda0(tmp_path, capsys, monkeypatch):
+    # only the first value used to be certified, and the report named none
+    runs = [_validate(tmp_path, name, lam)
+            for name, lam in (("one", "1"), ("two", "0.6+0.8j"), ("both", "1,0.6+0.8j"))]
+    assert [code for code, _ in runs] == [0, 0, 0]
+    one, two, both = (json.loads(path.read_text()) for _, path in runs)
+    assert both["lambda0"] == [one["lambda0"][0], two["lambda0"][0]]
+    assert two["lambda0"][0] == pytest.approx([0.6, 0.8])
+    for key in _RESIDUALS:
+        assert both[key] == max(one[key], two[key]), key
+    # a threshold between the two lambda_0 fails the list as a whole
+    key = max(_RESIDUALS, key=lambda k: abs(one[k] - two[k]))
+    assert one[key] != two[key]
+    monkeypatch.setitem(cli.VALIDATE_THRESHOLDS, key, min(one[key], two[key]))
+    code, path = _validate(tmp_path, "again", "1,0.6+0.8j")
+    assert code == 4 and json.loads(path.read_text())["passed"] is False
+
+
+def test_validate_all_singular_grid_is_too_coarse(tmp_path, capsys):
+    # every node sits inside e^{u/2} < 1e-10; the run used to pass with zeros
+    spec = tmp_path / "k3.json"
+    spec.write_text(json.dumps({"kind": "radial_monomial", "k": 3, "n": 0,
+                                "a_k": 1.0, "psi0": -1.0}))
+    code = cli.main(["validate", "--spec", str(spec), "--grid",
+                     '{"kind":"polar","r_max":1e-4,"n_r":1,"n_theta":5}',
+                     "--out", str(tmp_path / "v")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "GridTooCoarse"
+    assert not (tmp_path / "v").exists()
+
+
+def test_symmetry_takes_the_max_over_lambda0(capsys):
+    def surface_residual(lam):
+        assert cli.main(["symmetry", "--spec", str(SPEC_DIR / "rotational_m4.json"),
+                         "--grid", SMALL_GRID, f"--lambda={lam}"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    one, two, both = (surface_residual(lam) for lam in ("1", "0.6+0.8j", "1,0.6+0.8j"))
+    assert both["lambda0"] == [one["lambda0"][0], two["lambda0"][0]]
+    assert both["surface_residual"] == max(one["surface_residual"], two["surface_residual"])

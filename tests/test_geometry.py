@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import bundled_spec
 from lagdpw.dpw import CliffordSurface, PipelineSurface, RP2Surface
 from lagdpw.errors import GridTooCoarse
 from lagdpw.geometry import (certify, codazzi_residual, fubini_study_distance,
-                             hopf_coefficient, structure_residuals,
-                             symmetry_residual, tzitzeica_residual)
+                             hopf_coefficient, symmetry_residual, tzitzeica_residual)
 from lagdpw.periodicity import closing_delta
 from lagdpw.potentials import Poly, clifford_spec, rotational_potential
 
@@ -23,37 +24,41 @@ class NoisyLift:
         self.amp = amp
         self.lambda0 = base.lambda0
 
-    def sample(self, z):
-        return self.base.sample(z)
+    def samples(self, points):
+        out = []
+        for z, s in zip(points, self.base.samples(points)):
+            rng = np.random.default_rng(abs(hash((round(z.real, 12),
+                                                  round(z.imag, 12)))) % 2 ** 32)
+            noise = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            out.append(replace(s, lift=s.lift + self.amp * noise))
+        return out
 
-    def lift(self, z):
-        rng = np.random.default_rng(abs(hash((round(z.real, 12),
-                                              round(z.imag, 12)))) % 2 ** 32)
-        noise = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        return self.base.lift(z) + self.amp * noise
+
+def _u_grid(surf, zs):
+    return np.array([s.u for s in surf.samples(zs.ravel())]).reshape(zs.shape)
 
 
 def test_structure_residuals_clifford_oracle():
-    rep = structure_residuals(CliffordSurface(), NODES, h=1e-3)
+    rep = certify(CliffordSurface(), NODES, h=1e-3)
     assert rep.horizontality < 1e-9
     assert rep.conformality < 1e-6
 
 
 def test_structure_residuals_rp2_oracle():
-    rep = structure_residuals(RP2Surface(1j), NODES, h=1e-3)
+    rep = certify(RP2Surface(1j), NODES, h=1e-3)
     assert rep.horizontality < 1e-6
     assert rep.conformality < 1e-6
 
 
 def test_structure_residuals_detect_noise():
     noisy = NoisyLift(CliffordSurface())
-    rep = structure_residuals(noisy, NODES, h=1e-3)
+    rep = certify(noisy, NODES, h=1e-3)
     assert rep.horizontality > 1e-4
 
 
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
-        structure_residuals(CliffordSurface(), [0.1, 0.2], h=1e-3)
+        certify(CliffordSurface(), [0.1, 0.2], h=1e-3)
     with pytest.raises(GridTooCoarse):
         tzitzeica_residual(np.zeros((2, 2)), np.zeros((2, 2)), 1e-3)
 
@@ -74,7 +79,7 @@ def test_tzitzeica_rp2_closed_form():
     z0 = 0.6 + 0.3j
     ii, jj = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij")
     zs = z0 + (jj + 1j * ii) * h
-    u = np.vectorize(lambda z: RP2Surface(1j).sample(z).u)(zs)
+    u = _u_grid(RP2Surface(1j), zs)
     psi = np.zeros_like(zs)
     assert tzitzeica_residual(u, psi, h) < 1e-5
 
@@ -86,7 +91,7 @@ def test_tzitzeica_halving_ratio_rp2():
     def residual(h):
         ii, jj = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
         zs = z0 + (jj + 1j * ii) * h
-        u = np.vectorize(lambda z: surf.sample(z).u)(zs)
+        u = _u_grid(surf, zs)
         return tzitzeica_residual(u, np.zeros_like(zs), h)
 
     r1 = residual(2e-3)
@@ -126,12 +131,10 @@ def test_certify_pipeline_clifford():
     assert rep.tzitzeica < 1e-4
     assert rep.unitarity < 1e-9
     assert rep.determinant < 1e-9
-    assert rep.worst() < 1e-4
-    assert "tzitzeica" in rep.to_json()
+    assert rep.stencil_h == 1e-3
 
 
 def test_certify_all_bundled_specs():
-    from conftest import bundled_spec
     from lagdpw.dpw import GridSpec
     for name in ("clifford", "rp2", "radial_k1", "radial_ab", "rotational_m4"):
         spec, run = bundled_spec(name)
@@ -207,3 +210,60 @@ def test_hopf_coefficient_carries_family_factor():
         assert psi == pytest.approx(-1.0, abs=1e-7)
     raw = hopf_coefficient(CliffordSurface(1.0), 0.3, h=1e-3) / (1j * 1.0)
     assert raw == pytest.approx(1j, abs=1e-7)  # nu psi = (-i)(-1) = i
+
+
+def test_certify_every_lambda0_from_shared_frames(monkeypatch):
+    from lagdpw import dpw
+    spec, _ = bundled_spec("rp2")
+    lams = (1.0, 0.6 + 0.8j)
+    ring = [0.6 * np.exp(2j * np.pi * k / 5) for k in range(5)]
+    singles = [certify(PipelineSurface(spec, lam, 16), ring) for lam in lams]
+    solve, calls = dpw.frame_point, []
+    monkeypatch.setattr(dpw, "frame_point", lambda *a: calls.append(a[1]) or solve(*a))
+    both = certify(PipelineSurface(spec, lams, 16), ring)
+    assert len(calls) == 13 * len(ring)  # frames do not depend on lambda_0
+    for name, value in vars(both).items():
+        assert value == max(getattr(s, name) for s in singles), name
+
+
+def test_hopf_coefficient_needs_one_lambda0():
+    with pytest.raises(ValueError):
+        hopf_coefficient(PipelineSurface(bundled_spec("rp2")[0], (1.0, 1j), 16), 0.4)
+
+
+def test_certify_skips_singular_nodes_and_counts_the_rest():
+    from lagdpw.potentials import radial_monomial_spec
+    # the branch point z = 0 of a k = 1 monomial makes a node at 1e-12 singular
+    spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
+    regular = [0.5, 0.5j, -0.5, -0.5j, 0.3 + 0.3j]
+    rep = certify(PipelineSurface(spec, 1.0, 16), regular + [1e-12])
+    assert rep == certify(PipelineSurface(spec, 1.0, 16), regular)
+    with pytest.raises(GridTooCoarse):
+        certify(PipelineSurface(spec, 1.0, 16), regular[:4] + [1e-12])
+
+
+_FIELD = st.floats(-1.0, 1.0, allow_subnormal=False)
+_NODES = st.lists(st.builds(complex, _FIELD, _FIELD), min_size=10, max_size=10)
+# examples per surface: the oracles are cheap, rp2's pipeline solves 390 points each
+_BATCH_SURFACES = {"clifford": (lambda: CliffordSurface(np.exp(0.3j)), 8),
+                   "rp2_oracle": (lambda: RP2Surface(1j, 0.6 + 0.8j), 8),
+                   "rp2_pipeline": (lambda: PipelineSurface(
+                       bundled_spec("rp2")[0], (1.0, 0.6 + 0.8j), 16), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_SURFACES))
+def test_certify_does_not_depend_on_the_batch(name):
+    make, examples = _BATCH_SURFACES[name]
+    surf = make()
+
+    @settings(max_examples=examples, deadline=None)
+    @given(_NODES, st.permutations(range(10)))
+    def check(nodes, order):
+        whole = certify(surf, nodes)
+        shuffled = [nodes[i] for i in order]
+        assert certify(surf, shuffled) == whole
+        halves = [certify(surf, shuffled[:5]), certify(surf, shuffled[5:])]
+        for name, value in vars(whole).items():
+            assert value == max(getattr(h, name) for h in halves), name
+
+    check()
