@@ -40,16 +40,14 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _sample_row(s: dpw.SurfaceSample) -> str:
-    vals = [s.z.real, s.z.imag,
-            s.lift[0].real, s.lift[0].imag, s.lift[1].real, s.lift[1].imag,
-            s.lift[2].real, s.lift[2].imag, s.u, s.psi.real, s.psi.imag,
-            s.v0.real, s.v0.imag, s.lambda0.real, s.lambda0.imag]
-    cells = [_fmt(v) for v in vals]
-    cells.append("1" if s.singular else "0")
-    cells.append(_fmt(s.residual))
-    cells.append(_fmt(s.tail))
-    return ",".join(cells)
+def _sample_rows(s: dpw.SurfaceSample) -> list:
+    """A record's CSV rows, one per lambda_0, in the order of CSV_COLUMNS."""
+    z = [_fmt(s.z.real), _fmt(s.z.imag)]
+    data = [_fmt(v) for v in (s.u, s.psi.real, s.psi.imag, s.v0.real, s.v0.imag)]
+    health = ["1" if s.singular else "0", _fmt(s.residual), _fmt(s.tail)]
+    # lift.view(float) is (L, 6): re, im of each lift component
+    return [",".join(z + [_fmt(x) for x in f] + data + [_fmt(lam.real), _fmt(lam.imag)]
+                     + health) for f, lam in zip(s.lift.view(float), s.lambda0)]
 
 
 def _finite_json(obj):
@@ -83,27 +81,18 @@ def _parse_lambdas(text: str):
     return potentials.circle_values(out)
 
 
-_PROJECTIONS = {"re1": (0, "re"), "im1": (0, "im"), "re2": (1, "re"),
-                "im2": (1, "im"), "re3": (2, "re"), "im3": (2, "im")}
-
-
-def _project(lift: np.ndarray, triple):
-    out = []
-    for key in triple:
-        idx, part = _PROJECTIONS[key]
-        c = lift[idx]
-        out.append(c.real if part == "re" else c.imag)
-    return out
+_PROJECTIONS = ("re1", "im1", "re2", "im2", "re3", "im3")  # the entries of lift.view(float)
 
 
 def _write_mesh(path: Path, samples, grid: dpw.GridSpec, triple):
-    """OBJ export of one real 3-projection of the lift in R^6.
+    """OBJ export of one real 3-projection of the lift in R^6 at the first lambda_0.
 
     A visualization aid only: CP^2 admits no faithful R^3 picture.
     """
     lines = [f"# lagdpw mesh, projection {','.join(triple)}"]
+    columns = [_PROJECTIONS.index(key) for key in triple]
     for s in samples:
-        x, y, z = _project(s.lift, triple)
+        x, y, z = s.lift[0].view(float)[columns]
         lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
 
     def quad(a, b, c, d):
@@ -158,6 +147,7 @@ def _cmd_build(args) -> int:
     if not formats <= {"csv", "json", "obj"}:
         raise SchemaError("format", f"expected a subset of csv,json,obj, got {args.fmt!r}")
     samples, failures = dpw.grid_sample(spec, grid, lambdas, trunc)
+    n_rows = len(samples) * len(lambdas)
     if failures and not samples:
         z, exc = failures[0]
         raise NoNodeSolved(f"all {len(failures)} grid nodes failed; first at "
@@ -167,12 +157,12 @@ def _cmd_build(args) -> int:
 
     if "csv" in formats:
         rows = [",".join(CSV_COLUMNS)]
-        rows += [_sample_row(s) for s in samples]
+        rows += [row for s in samples for row in _sample_rows(s)]
         (out / "samples.csv").write_text("\n".join(rows) + "\n")
     if "json" in formats:
         report = {
             "spec_kind": spec.kind,
-            "n_samples": len(samples),
+            "n_samples": n_rows,
             "n_failures": len(failures),
             "failures": [{"z": [z.real, z.imag], "error": type(e).__name__}
                          for z, e in failures],
@@ -186,12 +176,11 @@ def _cmd_build(args) -> int:
         if len(triple) != 3 or any(k not in _PROJECTIONS for k in triple):
             raise SchemaError("project", f"expected a triple from "
                               f"{sorted(_PROJECTIONS)}, got {args.project!r}")
-        first = [s for s in samples if samples and s.lambda0 == samples[0].lambda0]
-        if failures or not first:
+        if failures or not samples:
             print(_dumps({"warning": "mesh skipped: failed grid nodes"}))
         else:
-            _write_mesh(out / "mesh.obj", first, grid, triple)
-    print(_dumps({"status": "ok", "samples": len(samples),
+            _write_mesh(out / "mesh.obj", samples, grid, triple)
+    print(_dumps({"status": "ok", "samples": n_rows,
                   "out": str(out)}))
     return 0
 

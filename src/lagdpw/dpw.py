@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,9 @@ DEFAULT_TRUNC = 16
 METRIC_FLOOR = 1e-10
 MAX_GRID_NODES = 100_000
 PICARD_CACHE_SIZE = 32
+AXIS_RADII = 14        # axis_log_v0 fits on this many circles inside |z| = 1 ...
+AXIS_THETA = 32        # ... of this many points each
+AXIS_FIT_DEGREE = 12   # Chebyshev degree of each Fourier mode's radial fit
 
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
 
@@ -136,12 +139,13 @@ def frame_point(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC) -> 
 
 @dataclass(frozen=True)
 class SurfaceSample:
+    """One surface point: lambda_0-independent data once, the lift at each lambda0[l]."""
     z: complex
-    lift: np.ndarray  # in S^5 within the factorization residual
+    lift: np.ndarray  # (L, 3): F(z, lambda0[l]) e_3 in S^5 within the factorization residual
     u: float          # metric exponent, g = 2 e^u dz dzbar; -inf when singular
     psi: complex      # cubic-form coefficient
     v0: complex       # lambda^0 (1,1)-entry of V_+
-    lambda0: complex
+    lambda0: tuple    # the L values on S^1
     singular: bool
     residual: float = 0.0
     tail: float = 0.0
@@ -156,23 +160,27 @@ def _normalize_lambda0(lambda0: complex) -> complex:
     return lam / r
 
 
-def sample_from_frame(spec: PotentialSpec, fp: FramePoint,
-                      lambda0: complex) -> SurfaceSample:
-    lam = _normalize_lambda0(lambda0)
-    lift = fp.frame.evaluate(lam) @ E3
+def _circle(lambdas) -> tuple:
+    """One S^1 value or a list of them, each projected onto S^1."""
+    return tuple(_normalize_lambda0(lam) for lam in np.atleast_1d(lambdas))
+
+
+def sample_from_frame(spec: PotentialSpec, fp: FramePoint, lambdas) -> SurfaceSample:
+    """The record of one frame point, with the lift at every value of ``lambdas``."""
+    lams = _circle(lambdas)
     v0 = complex(fp.v_plus.coefficient(0)[0, 0])
     a13 = complex(spec.coefficient_matrix(fp.z)[0, 2])
     metric_half = abs(a13 * v0)
     singular = metric_half < METRIC_FLOOR
     u = -math.inf if singular else 2.0 * math.log(metric_half)
-    return SurfaceSample(z=fp.z, lift=lift, u=u, psi=spec.psi(fp.z), v0=v0,
-                         lambda0=lam, singular=singular,
-                         residual=fp.residual, tail=fp.tail)
+    return SurfaceSample(z=fp.z, lift=fp.frame.evaluate_many(lams) @ E3, u=u,
+                         psi=spec.psi(fp.z), v0=v0, lambda0=lams, singular=singular,
+                         residual=fp.residual, tail=fp.tail, frame=fp.frame)
 
 
-def surface_sample(spec: PotentialSpec, z: complex, lambda0: complex = 1.0,
+def surface_sample(spec: PotentialSpec, z: complex, lambdas=1.0,
                    trunc: int = DEFAULT_TRUNC) -> SurfaceSample:
-    return sample_from_frame(spec, frame_point(spec, z, trunc), lambda0)
+    return sample_from_frame(spec, frame_point(spec, z, trunc), lambdas)
 
 
 # -- grids ---------------------------------------------------------------------
@@ -231,8 +239,8 @@ class GridSpec:
 
 def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
                 trunc: int = DEFAULT_TRUNC):
-    """(samples, failures): a sample per solved grid node and lambda_0, and
-    (z, exception) per node that failed.
+    """(samples, failures): a record per solved grid node, holding the lift at
+    every lambda_0, and (z, exception) per node that failed.
 
     Nodes are solved in order, so the output is the same on every run.
     Per-node errors are collected, not fatal.  ``grid`` may be a GridSpec
@@ -240,7 +248,7 @@ def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
     """
     nodes = grid.nodes() if hasattr(grid, "nodes") else \
         np.asarray(list(grid), dtype=complex)
-    lams = [_normalize_lambda0(l) for l in lambdas]
+    lams = _circle(lambdas)
     samples = []
     failures = []
     for z in nodes:
@@ -249,7 +257,7 @@ def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
         except Exception as exc:  # noqa: BLE001 - per-node failures are data
             failures.append((complex(z), exc))
             continue
-        samples += [sample_from_frame(spec, fp, lam) for lam in lams]
+        samples.append(sample_from_frame(spec, fp, lams))
     return samples, failures
 
 
@@ -264,17 +272,17 @@ def clifford_frame_loop(z: complex, trunc: int = DEFAULT_TRUNC) -> LoopMatrix:
 
 
 def clifford_oracle(z: complex, lambda0: complex = 1.0) -> SurfaceSample:
-    """Closed-form Clifford sample: flat metric u = 0 and psi = -1."""
+    """Closed-form Clifford record (L = 1): flat metric u = 0 and psi = -1."""
     lam = _normalize_lambda0(lambda0)
     a = su3.A_CLIFFORD
     m = (z / lam) * a + (np.conj(z) * lam) * su3.tau(a)
     lift = su3.expm3(m) @ E3
-    return SurfaceSample(z=complex(z), lift=lift, u=0.0, psi=-1.0 + 0.0j,
-                         v0=1.0 + 0.0j, lambda0=lam, singular=False)
+    return SurfaceSample(z=complex(z), lift=lift[None], u=0.0, psi=-1.0 + 0.0j,
+                         v0=1.0 + 0.0j, lambda0=(lam,), singular=False)
 
 
 def rp2_oracle(a: complex, z: complex, lambda0: complex = 1.0) -> SurfaceSample:
-    """Totally geodesic (psi = 0) sample from the round closed form.
+    """Totally geodesic (psi = 0) record (L = 1) from the round closed form.
 
     ``a`` is the purely imaginary constant i e^{u0/2}; the lift is
     (lambda0^{-1} a z, lambda0 a zbar, 1 - |az|^2/2) / (1 + |az|^2/2).
@@ -284,39 +292,38 @@ def rp2_oracle(a: complex, z: complex, lambda0: complex = 1.0) -> SurfaceSample:
         raise ValueError("a must be purely imaginary (a = i e^{u0/2})")
     lam = _normalize_lambda0(lambda0)
     w = abs(a * z) ** 2 / 2.0
-    lift = np.array([a * z / lam, a * np.conj(z) * lam, 1.0 - w],
+    lift = np.array([[a * z / lam, a * np.conj(z) * lam, 1.0 - w]],
                     dtype=complex) / (1.0 + w)
     u = 2.0 * math.log(abs(a) / (1.0 + w))
     # e^{u/2} = |a_slot v0| with a_slot = e^{u0/2} = |a|, so v0 = 1/(1+w)
     return SurfaceSample(z=complex(z), lift=lift, u=u, psi=0.0 + 0.0j,
-                         v0=complex(1.0 / (1.0 + w)), lambda0=lam, singular=False)
+                         v0=complex(1.0 / (1.0 + w)), lambda0=(lam,), singular=False)
 
 
 # -- surface maps (uniform sampling protocol for residual certification) --------
-# samples(points): a SurfaceSample per point and lambda_0 held, point-major.
+# samples(points): a SurfaceSample per point, holding the lift at every lambda_0 held.
 
 class PipelineSurface:
     """Batched sampler backed by the full integrate + Iwasawa pipeline.
 
     ``lambdas`` is one S^1 value or a list.  ``samples`` solves each distinct
-    point once and extracts a sample for every lambda_0 from its frame, so
-    stencils and lambda lists share the expensive factorizations.
+    point once and reads its record, with the lift at every lambda_0, from
+    that one frame.
     """
 
     def __init__(self, spec: PotentialSpec, lambdas=1.0, trunc: int = DEFAULT_TRUNC):
         self.spec = spec
-        self.lambdas = tuple(_normalize_lambda0(lam) for lam in np.atleast_1d(lambdas))
+        self.lambdas = _circle(lambdas)
         self.trunc = trunc
 
     def frame_point(self, z: complex) -> FramePoint:  # a span of bench/tracer.py
         return frame_point(self.spec, z, self.trunc)
 
     def samples(self, points) -> list:
-        """Samples carrying their frame, for the frame checks of ``geometry.certify``."""
         points = [complex(z) for z in points]
-        frames = {z: self.frame_point(z) for z in dict.fromkeys(points)}
-        return [replace(sample_from_frame(self.spec, frames[z], lam), frame=frames[z].frame)
-                for z in points for lam in self.lambdas]
+        records = {z: sample_from_frame(self.spec, self.frame_point(z), self.lambdas)
+                   for z in dict.fromkeys(points)}
+        return [records[z] for z in points]
 
 
 class CliffordSurface:
@@ -338,9 +345,7 @@ class RP2Surface:
 
 # -- axis metric continuation ----------------------------------------------------
 
-def axis_log_v0(spec: PotentialSpec, radius: float = 1.0, n_radii: int = 14,
-                n_theta: int = 32, fit_degree: int = 12,
-                trunc: int = DEFAULT_TRUNC):
+def axis_log_v0(spec: PotentialSpec):
     """Polynomial continuation of log v_0(z, zbar) to the axis zbar = 0.
 
     v_0 is real-analytic, so on a circle |z| = rho its log has Fourier modes
@@ -349,18 +354,19 @@ def axis_log_v0(spec: PotentialSpec, radius: float = 1.0, n_radii: int = 14,
 
         u(z, 0) = u(0, 0) - 2 * sum_j c_{j,0} z^j.
 
-    Returns the Poly sum_j c_{j,0} z^j (valid on |z| <= radius).
+    Returns the Poly sum_j c_{j,0} z^j (valid on |z| <= 1), from frames at
+    DEFAULT_TRUNC.
     """
-    radii = np.geomspace(0.12 * radius, 0.85 * radius, n_radii)
-    j_max = min(fit_degree, n_theta // 2 - 1)
-    modes = np.zeros((n_radii, j_max + 1), dtype=complex)
+    radii = np.geomspace(0.12, 0.85, AXIS_RADII)
+    j_max = min(AXIS_FIT_DEGREE, AXIS_THETA // 2 - 1)
+    modes = np.zeros((AXIS_RADII, j_max + 1), dtype=complex)
     for ri, rho in enumerate(radii):
-        w = np.empty(n_theta)
-        for mi in range(n_theta):
-            z = rho * np.exp(2j * np.pi * mi / n_theta)
-            fp = frame_point(spec, z, trunc)
+        w = np.empty(AXIS_THETA)
+        for mi in range(AXIS_THETA):
+            z = rho * np.exp(2j * np.pi * mi / AXIS_THETA)
+            fp = frame_point(spec, z)
             w[mi] = math.log(abs(fp.v_plus.coefficient(0)[0, 0]))
-        spec_w = np.fft.fft(w) / n_theta  # index j: coefficient of e^{i j theta}
+        spec_w = np.fft.fft(w) / AXIS_THETA  # index j: coefficient of e^{i j theta}
         modes[ri] = spec_w[:j_max + 1]
     # Fit mode_j(rho) = rho^j * P_j(rho^2) with P_j expanded in Chebyshev
     # polynomials on the sampled rho^2 interval; a monomial basis would
@@ -370,14 +376,14 @@ def axis_log_v0(spec: PotentialSpec, radius: float = 1.0, n_radii: int = 14,
     t = radii ** 2
     t_lo, t_hi = t[0], t[-1]
     x_of = lambda tt: (2 * tt - (t_lo + t_hi)) / (t_hi - t_lo)
-    cheb = np.polynomial.chebyshev.chebvander(x_of(t), fit_degree)
+    cheb = np.polynomial.chebyshev.chebvander(x_of(t), AXIS_FIT_DEGREE)
     at_zero = np.polynomial.chebyshev.chebvander(
-        np.array([x_of(0.0)]), fit_degree)[0]
+        np.array([x_of(0.0)]), AXIS_FIT_DEGREE)[0]
     coeffs = []
     for j in range(j_max + 1):
         # the rho^j row weighting concentrates information in the largest
         # radii, so the resolvable polynomial degree shrinks with j
-        deg_j = max(2, fit_degree - j)
+        deg_j = max(2, AXIS_FIT_DEGREE - j)
         design = radii[:, None] ** j * cheb[:, :deg_j + 1]
         sol, *_ = np.linalg.lstsq(design, modes[:, j], rcond=None)
         coeffs.append(at_zero[:deg_j + 1] @ sol)

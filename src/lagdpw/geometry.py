@@ -52,14 +52,14 @@ StructureResiduals = namedtuple("StructureResiduals",
 
 @dataclass(frozen=True)
 class Stencil:
-    """Surface samples on every node's stencil: ``samples[n, k, l]`` at node n,
-    offset ``offsets[k]`` ((x, y) in units of h) and the surface's l-th lambda_0."""
+    """Surface records on every node's stencil: ``samples[n, k]`` at node n and
+    offset ``offsets[k]`` ((x, y) in units of h)."""
     h: float
     offsets: tuple
     samples: np.ndarray  # of SurfaceSample
 
     def values(self, name: str) -> dict:
-        """{offset: (n, L, ...) array} of one SurfaceSample field."""
+        """{offset: (n, ...) array} of one SurfaceSample field; the lift is (n, L, 3)."""
         vals = np.array([getattr(s, name) for s in self.samples.flat])
         vals = vals.reshape(self.samples.shape + vals.shape[1:])
         return dict(zip(self.offsets, np.moveaxis(vals, 1, 0)))
@@ -77,8 +77,7 @@ def _sample_stencil(surface, nodes, h: float, corners) -> Stencil:
     pts.update({(ix, iy): z + ix * h + 1j * iy * h for ix, iy in corners})
     grid = np.stack(list(pts.values()), axis=1)  # (n, K), node-major
     samples = np.array(surface.samples(grid.ravel()), dtype=object)
-    n_lam = samples.size // max(grid.size, 1)  # the surface's lambda_0 count
-    return Stencil(h, tuple(pts), samples.reshape(grid.shape + (n_lam,)))
+    return Stencil(h, tuple(pts), samples.reshape(grid.shape))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,12 +126,13 @@ def _second_zz(f: dict, h: float):
 def hopf_coefficient(surface, z: complex, h: float = 1e-3) -> complex:
     """psi from the lift: i lambda_0^3 * (f_zz . conj(f_zbar)), for a surface with one lambda_0."""
     st = _sample_stencil(surface, [z], h, CORNERS + WIDE_CORNERS)
-    if st.samples.shape[2] != 1:
-        raise ValueError(f"hopf_coefficient needs one lambda_0, got {st.samples.shape[2]}")
+    lams = st.samples[0, 0].lambda0
+    if len(lams) != 1:
+        raise ValueError(f"hopf_coefficient needs one lambda_0, got {len(lams)}")
     f = st.values("lift")
     _, fzb = _first(f, h)
     psi_nu = complex(_dot(_second_zz(f, h), fzb)[0, 0])
-    return 1j * st.samples[0, 0, 0].lambda0 ** 3 * psi_nu
+    return 1j * lams[0] ** 3 * psi_nu
 
 
 def structure_residuals(st: Stencil) -> StructureResiduals:
@@ -142,9 +142,9 @@ def structure_residuals(st: Stencil) -> StructureResiduals:
     horiz = _abs(_dot(fz, f[0, 0])) + _abs(_dot(fzb, f[0, 0]))
     # math.exp: numpy's vectorized exp may differ from it in the last bit
     eu = np.vectorize(math.exp, otypes=[float])(st.values("u")[0, 0])
-    conf = np.maximum(_abs(_dot(fz, fz) - eu), _abs(_dot(fz, fzb)))
+    conf = np.maximum(_abs(_dot(fz, fz) - eu[:, None]), _abs(_dot(fz, fzb)))
     lams = su3.unit_circle(S1_SAMPLES)
-    fr = np.stack([s.frame.evaluate_many(lams) for s in st.samples[:, 0, 0]
+    fr = np.stack([s.frame.evaluate_many(lams) for s in st.samples[:, 0]
                    if s.frame is not None] or [su3.IDENTITY[None]])  # oracles carry no frame
     return StructureResiduals(float(np.max(horiz)), float(np.max(conf)),
                               float(np.max(su3.unitarity_defect(fr))),
@@ -211,8 +211,8 @@ def certify(surface, nodes, h: float = 1e-3) -> ResidualReport:
     if not 0.0 < h < math.inf:
         raise DomainError(f"the stencil step needs 0 < h < inf, got h={h}")
     st = _sample_stencil(surface, nodes, h, CORNERS)
-    keep = (~st.values("singular")[0, 0].any(axis=-1)
-            & np.isfinite(_patch_grids(st.values("u"))).all(axis=(1, 2, 3)))
+    keep = (~st.values("singular")[0, 0]
+            & np.isfinite(_patch_grids(st.values("u"))).all(axis=(1, 2)))
     if np.count_nonzero(keep) < MIN_NODES:
         raise GridTooCoarse(f"{np.count_nonzero(keep)} of {len(keep)} nodes certifiable, "
                             f"need {MIN_NODES}")
@@ -228,9 +228,9 @@ def symmetry_residual(spec, gamma, T: np.ndarray, nodes,
     """
     nodes = list(nodes)
     out = PipelineSurface(spec, lambdas, trunc).samples([gamma(z) for z in nodes] + nodes)
-    half = len(out) // 2
-    return max((fubini_study_distance(a.lift, T @ b.lift)
-                for a, b in zip(out[:half], out[half:])), default=0.0)
+    pairs = zip(out[:len(nodes)], out[len(nodes):])
+    return max((fubini_study_distance(fa, T @ fb) for a, b in pairs
+                for fa, fb in zip(a.lift, b.lift)), default=0.0)
 
 
 def metric_consistency_residual(spec, z: complex, h: float = 1e-4,

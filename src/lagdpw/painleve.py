@@ -40,7 +40,10 @@ from .potentials import PotentialSpec
 
 BLOWUP_LOW = 1e-8
 BLOWUP_HIGH = 1e8
-SERIES_TERMS = 12  # terms of v = sum c_m x^m behind series_seed
+SERIES_TERMS = 12       # terms of v = sum c_m x^m behind series_seed
+PIII_SAMPLES = 400      # s-values of a solve_piii solution
+CROSSCHECK_TOL = 1e-10  # solve_piii tolerance inside crosscheck
+CROSSCHECK_S0 = 1e-7    # crosscheck's series seed point, far below its s-range
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ def _integrate(params, s0, s_max, tol):
 
 
 def solve_piii(params: PainleveParams, s_max: float = 10.0, tol: float = 1e-10,
-               s0: float = 1e-3, n_samples: int = 400) -> PainleveSolution:
+               s0: float = 1e-3) -> PainleveSolution:
     """Integrate by DOP853 from the series seed at s0; dual-seed guarded.
 
     A second integration seeded at s0/2 must agree with the first within
@@ -240,7 +243,7 @@ def solve_piii(params: PainleveParams, s_max: float = 10.0, tol: float = 1e-10,
             f"seeds at s0 and s0/2 disagree by {gap:.3e}; shrink s0")
 
     blowup = float(main.t[-1]) if main.status == 1 else None
-    s = np.geomspace(s0, main.t[-1], n_samples)
+    s = np.geomspace(s0, main.t[-1], PIII_SAMPLES)
     # residual of the dense output against the ODE: differentiate the dense
     # h_dot locally (s and s +- ds in one dense call) and compare with the
     # rhs; the maximum is taken over the interior samples, normalized by the
@@ -271,8 +274,8 @@ def metric_to_h(r_samples, u_samples, params: PainleveParams):
     return s, np.exp(u) * s ** float(params.j)
 
 
-def crosscheck(spec: PotentialSpec, s_range=(1e-3, 5.0), tol: float = 1e-10,
-               trunc: int = 24, n_points: int = 40, s0: float = 1e-7) -> float:
+def crosscheck(spec: PotentialSpec, s_range=(1e-3, 5.0), trunc: int = 24,
+               n_points: int = 40) -> float:
     """max |h_DPW - h_PIII| over the s-range.
 
     h_DPW comes from metric extraction along a radial ray through the full
@@ -281,19 +284,16 @@ def crosscheck(spec: PotentialSpec, s_range=(1e-3, 5.0), tol: float = 1e-10,
     nothing but the potential coefficients: the series seed is built from
     |a_k| and |psi_0| alone.  It sits at an s0 far below the comparison range,
     where the terms it drops (x^{SERIES_TERMS+1} and beyond, x = s^{2/l}) are
-    far below tol.
+    far below CROSSCHECK_TOL.
     """
     from .dpw import surface_sample
 
     params = PainleveParams.from_spec(spec)
     s_lo, s_hi = s_range
-    piii = solve_piii(params, s_max=s_hi, tol=tol, s0=min(s0, s_lo))
+    piii = solve_piii(params, s_max=s_hi, tol=CROSSCHECK_TOL, s0=min(CROSSCHECK_S0, s_lo))
     s_vals = np.geomspace(max(s_lo, piii.s_samples[0]), s_hi, n_points)
     r_vals = s_vals ** (1.0 / float(params.l))
-    u_vals = []
-    for r in r_vals:
-        smp = surface_sample(spec, complex(r), 1.0, trunc=trunc)
-        u_vals.append(smp.u)
+    u_vals = [surface_sample(spec, complex(r), 1.0, trunc=trunc).u for r in r_vals]
     s_dpw, h_dpw = metric_to_h(r_vals, u_vals, params)
     h_ref = piii.interp(s_dpw)
     return float(np.max(np.abs(h_dpw - h_ref)))

@@ -67,8 +67,6 @@ class ClosingReport:
     c: complex
     k_residue: int  # index of the matched cube root, c = e^{2 pi i k/3}
     residual: float
-    omega1: complex = 0.0  # generators of the closing lattice at lambda0
-    omega2: complex = 0.0
 
 
 def closing_report(l1: int, l2: int, l3: int,
@@ -78,9 +76,7 @@ def closing_report(l1: int, l2: int, l3: int,
     return ClosingReport(delta=delta, lambda0=complex(lambda0),
                          closed=residual < CLOSING_TOL,
                          c=complex(_CUBE_ROOTS[k]), k_residue=k,
-                         residual=residual,
-                         omega1=closing_delta(1, 0, 0, lambda0),
-                         omega2=closing_delta(0, 0, 1, lambda0))
+                         residual=residual)
 
 
 def translational_frame(d_matrix: LoopMatrix, x: float, trunc: int = 16) -> LoopMatrix:

@@ -110,6 +110,8 @@ class PotentialSpec:
                 raise ValueError("d_matrix entries overflow the float range")
             if not residual <= 1e-10 * max(scale, 1.0):  # a NaN residual fails too
                 raise ValueError("d_matrix is not algebra-twisted")
+        elif self.a_fn.degree < 0:  # the metric e^{u/2} = |a v_0| would vanish everywhere
+            raise ValueError("a must not vanish identically")
 
     # -- coefficient access --------------------------------------------------
 
@@ -429,8 +431,8 @@ def spec_from_dict(doc: dict):
             spec = normalized_spec(a_fn, b_fn)
         except ArithmeticError:
             raise SchemaError("a", "a^2 is outside the float range") from None
-        except ValueError as exc:
-            raise SchemaError("b", str(exc)) from None
+        except ValueError as exc:  # a zero a, or psi0 outside the float range
+            raise SchemaError("a" if a_fn.degree < 0 else "b", str(exc)) from None
     elif kind == "radial_monomial":
         forbid(("a", "b", "m", "d"))
         k = _int_from(need("k"), "k", 0)
@@ -450,8 +452,11 @@ def spec_from_dict(doc: dict):
     elif kind == "rotational":
         forbid(("k", "n", "a_k", "b_n", "psi0", "d"))
         m = _int_from(need("m"), "m", 3)
-        spec, _ = rotational_potential(m, _poly_from(need("a"), "a"),
-                                       _poly_from(need("b"), "b"))
+        a_fn, b_fn = _poly_from(need("a"), "a"), _poly_from(need("b"), "b")
+        try:
+            spec, _ = rotational_potential(m, a_fn, b_fn)
+        except (PoleAtOrigin, ValueError) as exc:  # b(0) != 0, or a zero a
+            raise SchemaError("b" if isinstance(exc, PoleAtOrigin) else "a", str(exc)) from None
     elif kind == "vacuum":
         forbid(("k", "n", "a_k", "b_n", "psi0", "m", "d"))
         a = _complex_from(need("a"), "a")

@@ -79,7 +79,7 @@ def test_criterion_3_wu_round_trip():
         spec, _ = bundled_spec(name)
         surf = PipelineSurface(spec, 1.0, 16)
         u00 = surf.samples([0.0])[0].u
-        w_axis = axis_log_v0(spec, radius=1.0)
+        w_axis = axis_log_v0(spec)
         err = 0.0
         for z in probes:
             a_regen = math.exp(u00 / 2) * np.exp(-2.0 * w_axis(z))

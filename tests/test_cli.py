@@ -204,6 +204,13 @@ _OVERFLOWING_D = _clifford_d([0.0, 1e308])
     ({"kind": "radial_monomial", "k": 0, "n": 0, "a_k": 1e100, "b_n": 1e300}, "b_n"),
     ({"kind": "normalized", "a": [1e200], "b": [1]}, "a"),
     ({"kind": "constant_degree_one", "d": _OVERFLOWING_D}, "d"),
+    # rejections that only a constructor makes: b(0) != 0 is a pole of the
+    # rotational slot z^-3 b(z^m) (exit 3 before), and an identically zero a
+    # made an all-singular surface (build exited 0 with "status": "ok")
+    ({"kind": "rotational", "m": 3, "a": [1], "b": [1]}, "b"),
+    ({"kind": "normalized", "a": [0], "b": [1]}, "a"),
+    ({"kind": "normalized", "a": [], "b": []}, "a"),
+    ({"kind": "rotational", "m": 3, "a": [], "b": []}, "a"),
 ])
 def test_degenerate_potential_is_schema_error(tmp_path, doc, path):
     spec = tmp_path / "spec.json"
@@ -214,6 +221,18 @@ def test_degenerate_potential_is_schema_error(tmp_path, doc, path):
     out = json.loads(proc.stdout)
     assert out["error"] == "SchemaError" and out["path"] == path
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_mesh_has_one_vertex_per_node_for_any_lambda_list(tmp_path, capsys):
+    # a repeated first lambda_0 used to add a second vertex per node
+    meshes = []
+    for name, lam in (("one", "1"), ("repeat", "1,0.6+0.8j,1")):
+        assert cli.main(["build", "--spec", str(SPEC_DIR / "clifford.json"), "--grid",
+                         SMALL_GRID, f"--lambda={lam}", "--format", "obj",
+                         "--out", str(tmp_path / name)]) == 0
+        meshes.append((tmp_path / name / "mesh.obj").read_text())
+    assert meshes[1] == meshes[0]
+    assert meshes[0].count("\nv ") == 12
 
 
 def test_validate_report_has_no_bare_nan(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import bundled_spec, random_realform_degree_one
 from frame_oracle import rk45_frame
 from lagdpw import su3
-from lagdpw.dpw import (MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_v0,
+from lagdpw.dpw import (E3, MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_v0,
                         clifford_frame_loop, clifford_oracle,
-                        frame_point, grid_sample,
-                        integrate_frame, rp2_oracle, surface_sample)
+                        frame_point, grid_sample, integrate_frame, rp2_oracle,
+                        sample_from_frame, surface_sample)
 from lagdpw.errors import PoleOnPath, SchemaError, TruncationOverflow
 from lagdpw.geometry import fubini_study_distance, metric_consistency_residual
 from lagdpw.loops import (LoopMatrix, loop_exp, loop_scale, loop_sum,
@@ -81,6 +82,10 @@ _SMALL_COEFF = st.complex_numbers(max_magnitude=1.0)
        st.lists(_SMALL_COEFF, min_size=1, max_size=3),
        st.complex_numbers(max_magnitude=1.0))
 def test_exact_frame_matches_rk45_on_random_polys(a, b, z):
+    if not any(a):  # an identically zero a makes no surface
+        with pytest.raises(ValueError):
+            normalized_spec(Poly.of(*a), Poly.of(*b))
+        return
     spec = normalized_spec(Poly.of(*a), Poly.of(*b))
     gap = _relative_gap(integrate_frame(spec, z, 16), rk45_frame(spec, z, 16, ORACLE_TOL))
     assert gap < 1e-9
@@ -163,6 +168,35 @@ def test_grid_sample_clifford_flat():
     assert max_distance_on_circle(fp0.frame, LoopMatrix.identity()) < 1e-12
 
 
+@functools.cache
+def _bundled_frame_points(name):
+    spec, run = bundled_spec(name)
+    nodes = GridSpec.from_dict(run["grid"]).nodes()[::11]
+    return spec, [frame_point(spec, z, 16) for z in nodes]
+
+
+_ANGLE = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BUNDLED), st.integers(0, 5),
+       st.lists(_ANGLE, min_size=1, max_size=4).flatmap(
+           lambda t: st.lists(st.sampled_from(t), min_size=len(t), max_size=4)))
+def test_record_lifts_match_per_lambda0_evaluation(name, index, angles):
+    # one record per point: lift[l] is the frame at lambda0[l] (duplicates
+    # allowed), and the lambda_0-independent fields are those of L = 1
+    spec, fps = _bundled_frame_points(name)
+    fp = fps[index % len(fps)]
+    rec = sample_from_frame(spec, fp, [np.exp(1j * t) for t in angles])
+    one = sample_from_frame(spec, fp, rec.lambda0[0])
+    assert rec.lift.shape == (len(angles), 3) and len(rec.lambda0) == len(angles)
+    for lam, lift in zip(rec.lambda0, rec.lift):
+        assert np.array_equal(lift, fp.frame.evaluate(lam) @ E3)
+    for field in ("z", "u", "psi", "v0", "singular", "residual", "tail"):
+        assert getattr(rec, field) == getattr(one, field), field
+    assert rec.frame is one.frame is fp.frame
+
+
 def test_grid_sample_empty():
     samples, failures = grid_sample(CL, [], [1.0])
     assert samples == [] and failures == []
@@ -224,7 +258,7 @@ def test_clifford_oracle_values():
 def test_rp2_oracle_values():
     assert np.allclose(rp2_oracle(1j, 0.0).lift, [0, 0, 1], atol=1e-15)
     z = np.sqrt(2.0)  # |az|^2 = 2 kills the third component
-    assert abs(rp2_oracle(1j, z).lift[2]) < 1e-14
+    assert abs(rp2_oracle(1j, z).lift[0, 2]) < 1e-14
     for z in (0.4, 1.9 - 0.8j):
         assert np.linalg.norm(rp2_oracle(1j, z).lift) == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -264,13 +298,13 @@ def test_associated_family_reparametrization():
             for z in (0.8, 0.6 - 0.9j):
                 s_lam = surface_sample(spec, z, lam)
                 s_one = surface_sample(spec, z / lam, 1.0)
-                assert fubini_study_distance(s_lam.lift, s_one.lift) < 1e-7
+                assert fubini_study_distance(s_lam.lift[0], s_one.lift[0]) < 1e-7
 
 
 def test_axis_continuation_rp2():
     # on the slice v0 = 1/(1 + |z|^2/2) != 1, while its continuation to the
     # axis zbar = 0 is exactly 1: all fitted axis coefficients must vanish
-    w = axis_log_v0(RP2, radius=1.0)
+    w = axis_log_v0(RP2)
     assert np.sum(np.abs(w.coeffs)) < 1e-8
 
 

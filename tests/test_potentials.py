@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lagdpw import su3
-from lagdpw.errors import LagdpwError, NotVacuum, PoleAtOrigin, SchemaError
+from lagdpw.errors import NotVacuum, PoleAtOrigin, SchemaError
 from lagdpw.loops import algebra_twist_residual
 from lagdpw.potentials import (KINDS, Poly, PotentialSpec, check_potential_symmetry,
                                clifford_spec, constant_degree_one_spec,
@@ -356,12 +356,17 @@ def _spec_docs(draw):
 @example({"kind": "radial_monomial", "k": 0, "n": 0, "a_k": 1e100, "b_n": 1e300})
 @example({"kind": "normalized", "a": [1e200], "b": [1]})
 @example(_overflowing_degree_one(1e308))
+@example({"kind": "rotational", "m": 3, "a": [1], "b": [1]})
+@example({"kind": "normalized", "a": [0], "b": [1]})
+@example({"kind": "normalized", "a": [], "b": []})
+@example({"kind": "rotational", "m": 3, "a": [], "b": []})
 def test_spec_from_dict_raises_only_typed_errors(doc):
     try:
         spec, run = spec_from_dict(doc)
-    except LagdpwError:
+    except SchemaError:  # every rejection names its field
         return
     assert spec.kind == doc["kind"]
+    assert spec.kind == "constant_degree_one" or spec.a_fn.degree >= 0
     assert spec.psi0 is None or cmath.isfinite(spec.psi0)
     assert spec.d_matrix is None or math.isfinite(spec.d_matrix.wiener_norm())
     assert set(run) <= {"trunc", "grid", "lambda"}
