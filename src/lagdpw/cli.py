@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dpw, geometry, painleve, periodicity, potentials
-from .errors import LagdpwError, NoNodeSolved, SchemaError
+from .errors import GridTooCoarse, LagdpwError, NoNodeSolved, SchemaError
 
 VALIDATE_THRESHOLDS = {
     "horizontality": 1e-5,
@@ -40,14 +40,18 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _sample_rows(s: dpw.SurfaceSample) -> list:
-    """A record's CSV rows, one per lambda_0, in the order of CSV_COLUMNS."""
-    z = [_fmt(s.z.real), _fmt(s.z.imag)]
-    data = [_fmt(v) for v in (s.u, s.psi.real, s.psi.imag, s.v0.real, s.v0.imag)]
-    health = ["1" if s.singular else "0", _fmt(s.residual), _fmt(s.tail)]
-    # lift.view(float) is (L, 6): re, im of each lift component
-    return [",".join(z + [_fmt(x) for x in f] + data + [_fmt(lam.real), _fmt(lam.imag)]
-                     + health) for f, lam in zip(s.lift.view(float), s.lambda0)]
+def _csv_rows(s: dpw.SurfaceSamples) -> list:
+    """A 1-d batch's CSV rows, point-major then lambda_0, in the order of CSV_COLUMNS."""
+    def cells(*columns):  # the comma-separated cells of each row of the columns
+        return [",".join(map(_fmt, row)) for row in np.stack(columns, axis=-1).tolist()]
+
+    lams = cells(np.real(s.lambda0), np.imag(s.lambda0))
+    # lift.view(float) is (n, L, 6): re, im of each lift component, read in row order
+    lifts = iter(cells(*s.lift.view(float).reshape(-1, 6).T))
+    points = zip(cells(s.z.real, s.z.imag), s.singular.tolist(), cells(s.residual, s.tail),
+                 cells(s.u, s.psi.real, s.psi.imag, s.v0.real, s.v0.imag))
+    return [f"{z},{next(lifts)},{data},{lam},{flag:d},{health}"
+            for z, flag, health, data in points for lam in lams]
 
 
 def _finite_json(obj):
@@ -89,11 +93,10 @@ def _write_mesh(path: Path, samples, grid: dpw.GridSpec, triple):
 
     A visualization aid only: CP^2 admits no faithful R^3 picture.
     """
-    lines = [f"# lagdpw mesh, projection {','.join(triple)}"]
     columns = [_PROJECTIONS.index(key) for key in triple]
-    for s in samples:
-        x, y, z = s.lift[0].view(float)[columns]
-        lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+    lines = [f"# lagdpw mesh, projection {','.join(triple)}"]
+    lines += [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}"
+              for x, y, z in samples.lift[:, 0].view(float)[:, columns].tolist()]
 
     def quad(a, b, c, d):
         lines.append(f"f {a + 1} {b + 1} {c + 1}")
@@ -147,8 +150,8 @@ def _cmd_build(args) -> int:
     if not formats <= {"csv", "json", "obj"}:
         raise SchemaError("format", f"expected a subset of csv,json,obj, got {args.fmt!r}")
     samples, failures = dpw.grid_sample(spec, grid, lambdas, trunc)
-    n_rows = len(samples) * len(lambdas)
-    if failures and not samples:
+    n_rows = samples.z.size * len(lambdas)
+    if failures and not samples.z.size:
         z, exc = failures[0]
         raise NoNodeSolved(f"all {len(failures)} grid nodes failed; first at "
                            f"z = {z}: {type(exc).__name__}: {exc}")
@@ -157,7 +160,7 @@ def _cmd_build(args) -> int:
 
     if "csv" in formats:
         rows = [",".join(CSV_COLUMNS)]
-        rows += [row for s in samples for row in _sample_rows(s)]
+        rows += _csv_rows(samples)
         (out / "samples.csv").write_text("\n".join(rows) + "\n")
     if "json" in formats:
         report = {
@@ -166,8 +169,8 @@ def _cmd_build(args) -> int:
             "n_failures": len(failures),
             "failures": [{"z": [z.real, z.imag], "error": type(e).__name__}
                          for z, e in failures],
-            "max_iwasawa_residual": max((s.residual for s in samples), default=0.0),
-            "max_tail_norm": max((s.tail for s in samples), default=0.0),
+            "max_iwasawa_residual": float(np.max(samples.residual, initial=0.0)),
+            "max_tail_norm": float(np.max(samples.tail, initial=0.0)),
             "trunc": trunc,
         }
         _write_report(out / "report.json", report)
@@ -176,7 +179,7 @@ def _cmd_build(args) -> int:
         if len(triple) != 3 or any(k not in _PROJECTIONS for k in triple):
             raise SchemaError("project", f"expected a triple from "
                               f"{sorted(_PROJECTIONS)}, got {args.project!r}")
-        if failures or not samples:
+        if failures or not samples.z.size:
             print(_dumps({"warning": "mesh skipped: failed grid nodes"}))
         else:
             _write_mesh(out / "mesh.obj", samples, grid, triple)
@@ -188,7 +191,7 @@ def _cmd_build(args) -> int:
 def _cmd_validate(args) -> int:
     spec, grid, lambdas, trunc = _load_config(args)
     nodes = [z for z in grid.nodes() if abs(z) > 1e-9]
-    report = geometry.certify(dpw.PipelineSurface(spec, lambdas, trunc), nodes, h=args.h)
+    report = geometry.certify(dpw.PipelineSurface(spec, lambdas, trunc).samples, nodes, args.h)
     doc = dataclasses.asdict(report)
     failed = {k: doc[k] for k, thr in VALIDATE_THRESHOLDS.items()
               if not (doc[k] <= thr)}
@@ -241,8 +244,10 @@ def _cmd_closing(args) -> int:
 def _cmd_symmetry(args) -> int:
     spec, grid, lambdas, trunc = _load_config(args)
     result = {"spec_kind": spec.kind}
-    nodes = [z for z in grid.nodes() if 0.05 < abs(z) < 0.9 * max(
-        grid.r_max if grid.kind == "polar" else grid.extent, 1.0)][:12]
+    r_max = 0.9 * max(grid.r_max if grid.kind == "polar" else grid.extent, 1.0)
+    nodes = [z for z in grid.nodes() if 0.05 < abs(z) < r_max][:12]
+    if not nodes:
+        raise GridTooCoarse(f"no grid node in 0.05 < |z| < {r_max:g} to check")
     if spec.kind == "rotational":
         m = spec.m
         p = np.exp(2j * np.pi / m)
@@ -262,7 +267,7 @@ def _cmd_symmetry(args) -> int:
         result["k"], result["n"] = k, n
         result["potential_residual"] = worst_pot
         result["frame_transport_residual"] = geometry.homogeneity_frame_residual(
-            spec, t_vals, nodes[:4] or [0.5 + 0.2j], trunc=trunc)
+            spec, t_vals, nodes[:4], trunc=trunc)
     else:
         raise LagdpwError(f"no symmetry check defined for kind {spec.kind!r}")
     print(_dumps(result, indent=2, sort_keys=True))

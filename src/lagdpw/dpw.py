@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .potentials import Poly, PotentialSpec, is_finite_number
 
 DEFAULT_TRUNC = 16
 METRIC_FLOOR = 1e-10
+TAIL_RATIO = 1e-6      # boundary coefficient / peak past which a loop overflows trunc
 MAX_GRID_NODES = 100_000
 PICARD_CACHE_SIZE = 32
 AXIS_RADII = 14        # axis_log_v0 fits on this many circles inside |z| = 1 ...
@@ -112,11 +113,7 @@ def integrate_frame(spec: PotentialSpec, z: complex,
         raise PoleOnPath(f"non-finite frame coefficients at z = {complex(z)}")
 
     frame = LoopMatrix(y, -trunc, twisted=True)
-    boundary = frame.tail_norm(trunc)
-    peak = float(np.max(np.abs(y)))
-    if boundary > 1e-6 * peak:
-        raise TruncationOverflow(
-            f"boundary coefficient {boundary:.3e} vs peak {peak:.3e} at trunc={trunc}")
+    _check_boundary(frame, trunc, "")
     return frame.trim(0.0)
 
 
@@ -129,27 +126,43 @@ class FramePoint:
     tail: float
 
 
+def _check_boundary(loop: LoopMatrix, trunc: int, what: str) -> None:
+    """TruncationOverflow when the coefficient at |degree| = trunc exceeds 1e-6 of the peak."""
+    boundary = loop.tail_norm(trunc)
+    peak = float(np.max(np.abs(loop.coeffs)))
+    if boundary > TAIL_RATIO * peak:
+        raise TruncationOverflow(f"{what}boundary coefficient {boundary:.3e} vs peak "
+                                 f"{peak:.3e} at trunc={trunc}")
+
+
 def frame_point(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC) -> FramePoint:
+    """The Iwasawa split of the frame at z; TruncationOverflow when the unitary
+    factor h, which spans degrees -trunc..trunc, is cut off like the frame."""
     c = integrate_frame(spec, z, trunc)
     fac: IwasawaFactors = iwasawa(c, trunc)
+    _check_boundary(fac.unitary, trunc, "unitary factor ")
     return FramePoint(z=complex(z), frame=fac.unitary,
                       v_plus=fac.v_plus, residual=fac.residual,
                       tail=c.tail_norm(trunc))
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    """One surface point: lambda_0-independent data once, the lift at each lambda0[l]."""
-    z: complex
-    lift: np.ndarray  # (L, 3): F(z, lambda0[l]) e_3 in S^5 within the factorization residual
-    u: float          # metric exponent, g = 2 e^u dz dzbar; -inf when singular
-    psi: complex      # cubic-form coefficient
-    v0: complex       # lambda^0 (1,1)-entry of V_+
-    lambda0: tuple    # the L values on S^1
-    singular: bool
-    residual: float = 0.0
-    tail: float = 0.0
-    frame: LoopMatrix | None = field(default=None, repr=False, compare=False)
+@dataclass(frozen=True, eq=False)
+class SurfaceSamples:
+    """Points of any shape S: lambda_0-independent data once each, the lift at each lambda0[l]."""
+    z: np.ndarray         # S, complex
+    lift: np.ndarray      # S + (L, 3): F(z, lambda0[l]) e_3 in S^5 within the residual
+    u: np.ndarray         # S: metric exponent, g = 2 e^u dz dzbar; -inf where singular
+    psi: np.ndarray       # S: cubic-form coefficient
+    v0: np.ndarray        # S: lambda^0 (1,1)-entry of V_+
+    lambda0: tuple        # the L values on S^1
+    singular: np.ndarray  # S, bool
+    residual: np.ndarray  # S
+    tail: np.ndarray      # S
+    frames: np.ndarray    # S, object: the extended frame, None for the oracles
+
+    def take(self, index) -> "SurfaceSamples":
+        """The points at ``index`` over the leading axes: integers of any shape, or a mask."""
+        return replace(self, **{k: v[index] for k, v in vars(self).items() if k != "lambda0"})
 
 
 def _normalize_lambda0(lambda0: complex) -> complex:
@@ -165,22 +178,26 @@ def _circle(lambdas) -> tuple:
     return tuple(_normalize_lambda0(lam) for lam in np.atleast_1d(lambdas))
 
 
-def sample_from_frame(spec: PotentialSpec, fp: FramePoint, lambdas) -> SurfaceSample:
-    """The record of one frame point, with the lift at every value of ``lambdas``."""
-    lams = _circle(lambdas)
-    v0 = complex(fp.v_plus.coefficient(0)[0, 0])
-    a13 = complex(spec.coefficient_matrix(fp.z)[0, 2])
-    metric_half = abs(a13 * v0)
-    singular = metric_half < METRIC_FLOOR
-    u = -math.inf if singular else 2.0 * math.log(metric_half)
-    return SurfaceSample(z=fp.z, lift=fp.frame.evaluate_many(lams) @ E3, u=u,
-                         psi=spec.psi(fp.z), v0=v0, lambda0=lams, singular=singular,
-                         residual=fp.residual, tail=fp.tail, frame=fp.frame)
+def sample_from_frame(spec: PotentialSpec, fps, lambdas) -> SurfaceSamples:
+    """The 1-d batch of a sequence of frame points, with the lift at every value of ``lambdas``."""
+    lams, fps = _circle(lambdas), list(fps)
+    z = [fp.z for fp in fps]
+    v0 = [complex(fp.v_plus.coefficient(0)[0, 0]) for fp in fps]
+    # e^{u/2} per point in Python arithmetic: numpy's complex product may differ in the last bit
+    half = np.array([abs(complex(spec.coefficient_matrix(w)[0, 2]) * v) for w, v in zip(z, v0)])
+    u = [-math.inf if m < METRIC_FLOOR else 2.0 * math.log(m) for m in half]
+    lift = np.array([fp.frame.evaluate_many(lams) @ E3 for fp in fps], dtype=complex)
+    return SurfaceSamples(
+        np.array(z, dtype=complex), lift.reshape(-1, len(lams), 3), np.array(u, dtype=float),
+        np.array([spec.psi(w) for w in z], dtype=complex), np.array(v0, dtype=complex), lams,
+        half < METRIC_FLOOR, np.array([fp.residual for fp in fps], dtype=float),
+        np.array([fp.tail for fp in fps], dtype=float),
+        np.fromiter((fp.frame for fp in fps), dtype=object, count=len(fps)))
 
 
 def surface_sample(spec: PotentialSpec, z: complex, lambdas=1.0,
-                   trunc: int = DEFAULT_TRUNC) -> SurfaceSample:
-    return sample_from_frame(spec, frame_point(spec, z, trunc), lambdas)
+                   trunc: int = DEFAULT_TRUNC) -> SurfaceSamples:
+    return sample_from_frame(spec, [frame_point(spec, z, trunc)], lambdas).take(0)
 
 
 # -- grids ---------------------------------------------------------------------
@@ -239,8 +256,8 @@ class GridSpec:
 
 def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
                 trunc: int = DEFAULT_TRUNC):
-    """(samples, failures): a record per solved grid node, holding the lift at
-    every lambda_0, and (z, exception) per node that failed.
+    """(samples, failures): the 1-d batch of solved grid nodes, holding the
+    lift at every lambda_0, and (z, exception) per node that failed.
 
     Nodes are solved in order, so the output is the same on every run.
     Per-node errors are collected, not fatal.  ``grid`` may be a GridSpec
@@ -248,20 +265,17 @@ def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
     """
     nodes = grid.nodes() if hasattr(grid, "nodes") else \
         np.asarray(list(grid), dtype=complex)
-    lams = _circle(lambdas)
-    samples = []
-    failures = []
+    fps, failures = [], []
     for z in nodes:
         try:
-            fp = frame_point(spec, z, trunc)
+            fps.append(frame_point(spec, z, trunc))
         except Exception as exc:  # noqa: BLE001 - per-node failures are data
             failures.append((complex(z), exc))
-            continue
-        samples.append(sample_from_frame(spec, fp, lams))
-    return samples, failures
+    return sample_from_frame(spec, fps, lambdas), failures
 
 
 # -- closed-form oracles --------------------------------------------------------
+# z of any shape, computed on a 1-d array: numpy's 0-d arithmetic is not bit-equal to its loops
 
 def clifford_frame_loop(z: complex, trunc: int = DEFAULT_TRUNC) -> LoopMatrix:
     """exp(z lambda^{-1} A + zbar lambda tau(A)) as a Laurent loop."""
@@ -271,18 +285,26 @@ def clifford_frame_loop(z: complex, trunc: int = DEFAULT_TRUNC) -> LoopMatrix:
     return loop_exp(exponent, trunc)
 
 
-def clifford_oracle(z: complex, lambda0: complex = 1.0) -> SurfaceSample:
-    """Closed-form Clifford record (L = 1): flat metric u = 0 and psi = -1."""
+def _oracle_samples(z: np.ndarray, lam: complex, lift, u, psi, v0) -> SurfaceSamples:
+    """Closed-form samples (L = 1) from values (or constants) over z.ravel(), shaped like z."""
+    n = z.size
+    u, psi, v0, singular, zero = (np.broadcast_to(x, n) for x in (u, psi, v0, False, 0.0))
+    batch = SurfaceSamples(z.ravel(), lift[:, None], u, psi, v0, (lam,), singular, zero, zero,
+                           np.full(n, None))
+    return batch.take(np.arange(n).reshape(z.shape))
+
+
+def clifford_oracle(z, lambda0: complex = 1.0) -> SurfaceSamples:
+    """Closed-form Clifford samples (L = 1): flat metric u = 0 and psi = -1."""
     lam = _normalize_lambda0(lambda0)
-    a = su3.A_CLIFFORD
-    m = (z / lam) * a + (np.conj(z) * lam) * su3.tau(a)
-    lift = su3.expm3(m) @ E3
-    return SurfaceSample(z=complex(z), lift=lift[None], u=0.0, psi=-1.0 + 0.0j,
-                         v0=1.0 + 0.0j, lambda0=(lam,), singular=False)
+    z = np.asarray(z, dtype=complex)
+    w, a = z.reshape(-1, 1, 1), su3.A_CLIFFORD
+    lift = su3.expm3((w / lam) * a + (np.conj(w) * lam) * su3.tau(a)) @ E3
+    return _oracle_samples(z, lam, lift, 0.0, -1.0 + 0.0j, 1.0 + 0.0j)
 
 
-def rp2_oracle(a: complex, z: complex, lambda0: complex = 1.0) -> SurfaceSample:
-    """Totally geodesic (psi = 0) record (L = 1) from the round closed form.
+def rp2_oracle(a: complex, z, lambda0: complex = 1.0) -> SurfaceSamples:
+    """Totally geodesic (psi = 0) samples (L = 1) from the round closed form.
 
     ``a`` is the purely imaginary constant i e^{u0/2}; the lift is
     (lambda0^{-1} a z, lambda0 a zbar, 1 - |az|^2/2) / (1 + |az|^2/2).
@@ -291,24 +313,24 @@ def rp2_oracle(a: complex, z: complex, lambda0: complex = 1.0) -> SurfaceSample:
     if abs(a.real) > 1e-12 * abs(a):
         raise ValueError("a must be purely imaginary (a = i e^{u0/2})")
     lam = _normalize_lambda0(lambda0)
-    w = abs(a * z) ** 2 / 2.0
-    lift = np.array([[a * z / lam, a * np.conj(z) * lam, 1.0 - w]],
-                    dtype=complex) / (1.0 + w)
-    u = 2.0 * math.log(abs(a) / (1.0 + w))
-    # e^{u/2} = |a_slot v0| with a_slot = e^{u0/2} = |a|, so v0 = 1/(1+w)
-    return SurfaceSample(z=complex(z), lift=lift, u=u, psi=0.0 + 0.0j,
-                         v0=complex(1.0 / (1.0 + w)), lambda0=(lam,), singular=False)
+    z = np.asarray(z, dtype=complex)
+    w = z.ravel()
+    half = np.abs(a * w) ** 2 / 2.0
+    lift = np.stack([a * w / lam, a * np.conj(w) * lam, 1.0 - half], axis=-1) \
+        / (1.0 + half)[:, None]
+    # e^{u/2} = |a_slot v0| with a_slot = e^{u0/2} = |a|, so v0 = 1/(1+|az|^2/2)
+    return _oracle_samples(z, lam, lift, 2.0 * np.log(abs(a) / (1.0 + half)), 0.0j,
+                           1.0 / (1.0 + half) + 0.0j)
 
 
-# -- surface maps (uniform sampling protocol for residual certification) --------
-# samples(points): a SurfaceSample per point, holding the lift at every lambda_0 held.
+# -- surface maps: samples(points) gives the SurfaceSamples at points of any shape, e.g.
+# PipelineSurface(...).samples or ``lambda p: clifford_oracle(p, lam)`` ----------------
 
 class PipelineSurface:
     """Batched sampler backed by the full integrate + Iwasawa pipeline.
 
     ``lambdas`` is one S^1 value or a list.  ``samples`` solves each distinct
-    point once and reads its record, with the lift at every lambda_0, from
-    that one frame.
+    point once and reads its lift at every lambda_0 from that one frame.
     """
 
     def __init__(self, spec: PotentialSpec, lambdas=1.0, trunc: int = DEFAULT_TRUNC):
@@ -319,28 +341,12 @@ class PipelineSurface:
     def frame_point(self, z: complex) -> FramePoint:  # a span of bench/tracer.py
         return frame_point(self.spec, z, self.trunc)
 
-    def samples(self, points) -> list:
-        points = [complex(z) for z in points]
-        records = {z: sample_from_frame(self.spec, self.frame_point(z), self.lambdas)
-                   for z in dict.fromkeys(points)}
-        return [records[z] for z in points]
-
-
-class CliffordSurface:
-    def __init__(self, lambda0: complex = 1.0):
-        self.lambda0 = _normalize_lambda0(lambda0)
-
-    def samples(self, points) -> list:
-        return [clifford_oracle(z, self.lambda0) for z in points]
-
-
-class RP2Surface:
-    def __init__(self, a: complex = 1j, lambda0: complex = 1.0):
-        self.a = complex(a)
-        self.lambda0 = _normalize_lambda0(lambda0)
-
-    def samples(self, points) -> list:
-        return [rp2_oracle(self.a, z, self.lambda0) for z in points]
+    def samples(self, points) -> SurfaceSamples:
+        z = np.asarray(points, dtype=complex)
+        first = {}  # distinct point -> its index in the batch, in order of appearance
+        index = [first.setdefault(p, len(first)) for p in z.ravel().tolist()]
+        batch = sample_from_frame(self.spec, [self.frame_point(p) for p in first], self.lambdas)
+        return batch.take(np.array(index, dtype=int).reshape(z.shape))
 
 
 # -- axis metric continuation ----------------------------------------------------

@@ -2,8 +2,9 @@
 
 All derivatives are Wirtinger derivatives taken by real/imaginary central
 differences, d/dz = (d/dx - i d/dy)/2, on a stencil of step h around each
-node (recorded as stencil_h), sampled for all nodes in one ``samples`` call
-of the surface; the rules act on arrays over the nodes and every lambda_0.
+node (recorded as stencil_h), sampled for all nodes in one call of the
+surface's ``samples`` function (see dpw); the rules act on arrays over the
+nodes and every lambda_0.
 First derivatives use the 4th-order 5-point rule; second derivatives use
 the 4th-order axis rule plus a Richardson-extrapolated cross term.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import su3
-from .dpw import DEFAULT_TRUNC, PipelineSurface, frame_point, sample_from_frame
+from .dpw import DEFAULT_TRUNC, PipelineSurface, SurfaceSamples, frame_point, sample_from_frame
 from .errors import DomainError, GridTooCoarse
 from .loops import loop_product, loop_scale, loop_sum
 
@@ -52,21 +53,19 @@ StructureResiduals = namedtuple("StructureResiduals",
 
 @dataclass(frozen=True)
 class Stencil:
-    """Surface records on every node's stencil: ``samples[n, k]`` at node n and
-    offset ``offsets[k]`` ((x, y) in units of h)."""
+    """The surface on every node's stencil: ``samples`` of shape (n, K), at node n
+    and offset ``offsets[k]`` ((x, y) in units of h)."""
     h: float
     offsets: tuple
-    samples: np.ndarray  # of SurfaceSample
+    samples: SurfaceSamples
 
     def values(self, name: str) -> dict:
-        """{offset: (n, ...) array} of one SurfaceSample field; the lift is (n, L, 3)."""
-        vals = np.array([getattr(s, name) for s in self.samples.flat])
-        vals = vals.reshape(self.samples.shape + vals.shape[1:])
-        return dict(zip(self.offsets, np.moveaxis(vals, 1, 0)))
+        """{offset: (n, ...) array} of one SurfaceSamples field; the lift is (n, L, 3)."""
+        return dict(zip(self.offsets, np.moveaxis(getattr(self.samples, name), 1, 0)))
 
 
-def _sample_stencil(surface, nodes, h: float, corners) -> Stencil:
-    """Every stencil point of every node, sampled in one ``surface.samples`` call.
+def _sample_stencil(samples, nodes, h: float, corners) -> Stencil:
+    """Every stencil point of every node, sampled in one ``samples`` call.
 
     The points are the centre, z +- h, z +- 2h, z +- ih, z +- 2ih and the
     given corners; each is listed once, so every rule reads the same sample.
@@ -75,9 +74,7 @@ def _sample_stencil(surface, nodes, h: float, corners) -> Stencil:
     pts = {(0, 0): z, (2, 0): z + 2 * h, (1, 0): z + h, (-1, 0): z - h, (-2, 0): z - 2 * h,
            (0, 2): z + 2j * h, (0, 1): z + 1j * h, (0, -1): z - 1j * h, (0, -2): z - 2j * h}
     pts.update({(ix, iy): z + ix * h + 1j * iy * h for ix, iy in corners})
-    grid = np.stack(list(pts.values()), axis=1)  # (n, K), node-major
-    samples = np.array(surface.samples(grid.ravel()), dtype=object)
-    return Stencil(h, tuple(pts), samples.reshape(grid.shape))
+    return Stencil(h, tuple(pts), samples(np.stack(list(pts.values()), axis=1)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,10 +120,10 @@ def _second_zz(f: dict, h: float):
     return (fxx - fyy - 2j * fxy) / 4
 
 
-def hopf_coefficient(surface, z: complex, h: float = 1e-3) -> complex:
+def hopf_coefficient(samples, z: complex, h: float = 1e-3) -> complex:
     """psi from the lift: i lambda_0^3 * (f_zz . conj(f_zbar)), for a surface with one lambda_0."""
-    st = _sample_stencil(surface, [z], h, CORNERS + WIDE_CORNERS)
-    lams = st.samples[0, 0].lambda0
+    st = _sample_stencil(samples, [z], h, CORNERS + WIDE_CORNERS)
+    lams = st.samples.lambda0
     if len(lams) != 1:
         raise ValueError(f"hopf_coefficient needs one lambda_0, got {len(lams)}")
     f = st.values("lift")
@@ -144,8 +141,8 @@ def structure_residuals(st: Stencil) -> StructureResiduals:
     eu = np.vectorize(math.exp, otypes=[float])(st.values("u")[0, 0])
     conf = np.maximum(_abs(_dot(fz, fz) - eu[:, None]), _abs(_dot(fz, fzb)))
     lams = su3.unit_circle(S1_SAMPLES)
-    fr = np.stack([s.frame.evaluate_many(lams) for s in st.samples[:, 0]
-                   if s.frame is not None] or [su3.IDENTITY[None]])  # oracles carry no frame
+    frames = st.values("frames")[0, 0]  # None for a closed form
+    fr = su3.IDENTITY if frames[0] is None else np.stack([f.evaluate_many(lams) for f in frames])
     return StructureResiduals(float(np.max(horiz)), float(np.max(conf)),
                               float(np.max(su3.unitarity_defect(fr))),
                               float(np.max(np.abs(np.linalg.det(fr) - 1.0))))
@@ -201,8 +198,8 @@ def integrability_residuals(st: Stencil):
     return tzitzeica_residual(_patch_grids(st.values("u")), psi, st.h), codazzi_residual(psi, st.h)
 
 
-def certify(surface, nodes, h: float = 1e-3) -> ResidualReport:
-    """Full residual report: maxima over the nodes and every lambda_0 of the surface.
+def certify(samples, nodes, h: float = 1e-3) -> ResidualReport:
+    """Full residual report: maxima over the nodes and every lambda_0 of ``samples``.
 
     A node is certified when its centre is not singular and its 3x3 patch of
     u is finite.  GridTooCoarse unless at least MIN_NODES are; DomainError
@@ -210,13 +207,13 @@ def certify(surface, nodes, h: float = 1e-3) -> ResidualReport:
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"the stencil step needs 0 < h < inf, got h={h}")
-    st = _sample_stencil(surface, nodes, h, CORNERS)
+    st = _sample_stencil(samples, nodes, h, CORNERS)
     keep = (~st.values("singular")[0, 0]
             & np.isfinite(_patch_grids(st.values("u"))).all(axis=(1, 2)))
     if np.count_nonzero(keep) < MIN_NODES:
         raise GridTooCoarse(f"{np.count_nonzero(keep)} of {len(keep)} nodes certifiable, "
                             f"need {MIN_NODES}")
-    st = replace(st, samples=st.samples[keep])
+    st = replace(st, samples=st.samples.take(keep))
     return ResidualReport(*structure_residuals(st), *integrability_residuals(st), stencil_h=h)
 
 
@@ -227,10 +224,10 @@ def symmetry_residual(spec, gamma, T: np.ndarray, nodes,
     Over the nodes and every lambda_0 of ``lambdas`` (one S^1 value or a list).
     """
     nodes = list(nodes)
-    out = PipelineSurface(spec, lambdas, trunc).samples([gamma(z) for z in nodes] + nodes)
-    pairs = zip(out[:len(nodes)], out[len(nodes):])
-    return max((fubini_study_distance(fa, T @ fb) for a, b in pairs
-                for fa, fb in zip(a.lift, b.lift)), default=0.0)
+    images, lifts = PipelineSurface(spec, lambdas, trunc).samples(
+        [[gamma(z) for z in nodes], nodes]).lift
+    return max((fubini_study_distance(fa, T @ fb) for fa, fb in
+                zip(images.reshape(-1, 3), lifts.reshape(-1, 3))), default=0.0)
 
 
 def metric_consistency_residual(spec, z: complex, h: float = 1e-4,
@@ -240,7 +237,7 @@ def metric_consistency_residual(spec, z: complex, h: float = 1e-4,
     fz = loop_scale(loop_sum(fp_p.frame, fp_m.frame, sign=-1.0), 1.0 / (2 * h))
     mc = loop_product(fp.frame.conj_transpose(), fz)
     entry = mc.coefficient(-1)[0, 2]
-    return abs(abs(entry) - math.exp(sample_from_frame(spec, fp, 1.0).u / 2.0))
+    return abs(abs(entry) - math.exp(sample_from_frame(spec, [fp], 1.0).u[0] / 2.0))
 
 
 def homogeneity_frame_residual(spec, t_values, z_values, p0: float = 1.0,

@@ -197,10 +197,6 @@ def algebra_twist_residual(x: LoopMatrix) -> float:
     return worst
 
 
-def unitarity_residual(g: LoopMatrix, samples: int = DEFAULT_CIRCLE_SAMPLES) -> float:
-    return float(np.max(su3.unitarity_defect(g.evaluate_many(su3.unit_circle(samples)))))
-
-
 def max_distance_on_circle(a: LoopMatrix, b: LoopMatrix,
                            samples: int = DEFAULT_CIRCLE_SAMPLES) -> float:
     lams = su3.unit_circle(samples)

@@ -286,15 +286,15 @@ def crosscheck(spec: PotentialSpec, s_range=(1e-3, 5.0), trunc: int = 24,
     where the terms it drops (x^{SERIES_TERMS+1} and beyond, x = s^{2/l}) are
     far below CROSSCHECK_TOL.
     """
-    from .dpw import surface_sample
+    from .dpw import frame_point, sample_from_frame
 
     params = PainleveParams.from_spec(spec)
     s_lo, s_hi = s_range
     piii = solve_piii(params, s_max=s_hi, tol=CROSSCHECK_TOL, s0=min(CROSSCHECK_S0, s_lo))
     s_vals = np.geomspace(max(s_lo, piii.s_samples[0]), s_hi, n_points)
     r_vals = s_vals ** (1.0 / float(params.l))
-    u_vals = [surface_sample(spec, complex(r), 1.0, trunc=trunc).u for r in r_vals]
-    s_dpw, h_dpw = metric_to_h(r_vals, u_vals, params)
+    fps = [frame_point(spec, complex(r), trunc) for r in r_vals]
+    s_dpw, h_dpw = metric_to_h(r_vals, sample_from_frame(spec, fps, 1.0).u, params)
     h_ref = piii.interp(s_dpw)
     return float(np.max(np.abs(h_dpw - h_ref)))
 

@@ -75,11 +75,6 @@ def eigenspace_project(x: np.ndarray, k: int) -> np.ndarray:
     return acc / 6.0
 
 
-def in_eigenspace(x: np.ndarray, k: int, tol: float = 1e-12) -> bool:
-    scale = max(np.max(np.abs(x)), 1.0)
-    return np.max(np.abs(x - eigenspace_project(x, k))) <= tol * scale
-
-
 def group_slot_mask(degree) -> np.ndarray:
     """Boolean mask of entries a twisted group-loop coefficient may occupy.
 
@@ -91,22 +86,8 @@ def group_slot_mask(degree) -> np.ndarray:
     return _ENTRY_GRADE == (2 * degree) % 6
 
 
-def is_unitary(g: np.ndarray, tol: float = 1e-10) -> bool:
-    return np.max(np.abs(np.conj(g).T @ g - IDENTITY)) <= tol
-
-
-def is_special(g: np.ndarray, tol: float = 1e-10) -> bool:
-    return abs(np.linalg.det(g) - 1.0) <= tol
-
-
-def is_su3_alg(x: np.ndarray, tol: float = 1e-10) -> bool:
-    """su(3) membership: anti-Hermitian and traceless."""
-    return (np.max(np.abs(x + np.conj(x).T)) <= tol
-            and abs(np.trace(x)) <= tol)
-
-
 def expm3(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a 3x3 block (scaling-and-squaring Pade)."""
+    """Matrix exponential of a 3x3 block or of each of a stack (scaling-and-squaring Pade)."""
     from scipy.linalg import expm  # not at module level: nothing on the build path needs it
     return expm(np.asarray(x, dtype=complex))
 

@@ -16,6 +16,16 @@ def bundled_spec(name):
     return spec_from_dict(doc)
 
 
+def unitarity_on_circle(g, samples=24):
+    """max ||g* g - I||_2 of a loop over the samples of S^1."""
+    return float(np.max(su3.unitarity_defect(g.evaluate_many(su3.unit_circle(samples)))))
+
+
+def in_eigenspace(x, k, tol):
+    """x lies in the eps^k eigenspace of sigma, relative to max(|x|, 1)."""
+    return np.max(np.abs(x - su3.eigenspace_project(x, k))) <= tol * max(np.max(np.abs(x)), 1.0)
+
+
 def random_twisted_algebra_loop(rng, lo=-2, hi=2, amp=0.12):
     """Twisted algebra loop: coefficient at degree d in g_{d mod 6}."""
     entries = {}

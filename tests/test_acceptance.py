@@ -9,9 +9,8 @@ import math
 import numpy as np
 
 from conftest import bundled_spec, random_twisted_group_loop
-from lagdpw.dpw import (GridSpec, PipelineSurface, RP2Surface,
-                        clifford_frame_loop, axis_log_v0, frame_point,
-                        rp2_oracle, surface_sample)
+from lagdpw.dpw import (GridSpec, PipelineSurface, clifford_frame_loop, axis_log_v0,
+                        frame_point, rp2_oracle, surface_sample)
 from lagdpw.factorization import birkhoff, iwasawa
 from lagdpw.geometry import (certify, homogeneity_frame_residual,
                              hopf_coefficient, symmetry_residual,
@@ -44,9 +43,9 @@ def test_criterion_1_clifford_oracle_equivalence():
         s = surface_sample(spec, z, 1.0, trunc)
         worst_u = max(worst_u, abs(s.u))
         worst_psi = max(worst_psi, abs(s.psi + 1.0))
-    surf = PipelineSurface(spec, 1.0, trunc)
+    samples = PipelineSurface(spec, 1.0, trunc).samples
     for z in (0.8, 1.2 - 0.7j):
-        worst_psi = max(worst_psi, abs(hopf_coefficient(surf, z) + 1.0))
+        worst_psi = max(worst_psi, abs(hopf_coefficient(samples, z) + 1.0))
     ok = worst_frame < 1e-8 and worst_u < 1e-8 and worst_psi < 1e-6
     report(1, ok, f"frame {worst_frame:.2e} (<1e-8), u {worst_u:.2e} (<1e-8), "
                   f"psi {worst_psi:.2e} (<1e-6) on the 9x9 grid, trunc 16")
@@ -55,15 +54,12 @@ def test_criterion_1_clifford_oracle_equivalence():
 def test_criterion_2_psi0_oracle_equivalence():
     spec, run = bundled_spec("rp2")
     grid = GridSpec(kind="polar", r_max=2.0, n_r=5, n_theta=8)
-    surf = PipelineSurface(spec, 1.0, 16)
-    worst_lift = 0.0
-    for z, s in zip(grid.nodes(), surf.samples(grid.nodes())):
-        o = rp2_oracle(1j, z, 1.0)
-        phase = np.vdot(o.lift, s.lift)
-        phase /= abs(phase)
-        worst_lift = max(worst_lift, float(np.max(np.abs(s.lift - phase * o.lift))))
+    samples = PipelineSurface(spec, 1.0, 16).samples
+    lifts, exact = samples(grid.nodes()).lift, rp2_oracle(1j, grid.nodes(), 1.0).lift
+    phase = np.einsum("nlk,nlk->nl", np.conj(exact), lifts)[..., None]
+    worst_lift = float(np.max(np.abs(lifts - phase / np.abs(phase) * exact)))
     nodes = [z for z in grid.nodes() if abs(z) < 1.8][:12]
-    rep = certify(surf, nodes, h=1e-3)
+    rep = certify(samples, nodes, h=1e-3)
     ok = worst_lift < 1e-6 and rep.horizontality < 1e-5 and rep.conformality < 1e-5
     report(2, ok, f"lift vs closed form {worst_lift:.2e} (<1e-6), "
                   f"horizontality {rep.horizontality:.2e}, "
@@ -77,13 +73,13 @@ def test_criterion_3_wu_round_trip():
     detail = []
     for name in IMMERSED:
         spec, _ = bundled_spec(name)
-        surf = PipelineSurface(spec, 1.0, 16)
-        u00 = surf.samples([0.0])[0].u
+        samples = PipelineSurface(spec, 1.0, 16).samples
+        u00 = samples(0.0).u
         w_axis = axis_log_v0(spec)
         err = 0.0
         for z in probes:
             a_regen = math.exp(u00 / 2) * np.exp(-2.0 * w_axis(z))
-            psi_fd = hopf_coefficient(surf, z, h=1e-3)
+            psi_fd = hopf_coefficient(samples, z, h=1e-3)
             b_regen = -psi_fd / a_regen ** 2
             err = max(err, abs(a_regen - spec.a(z)), abs(b_regen - spec.b(z)))
         detail.append(f"{name} {err:.2e}")
@@ -100,9 +96,8 @@ def test_criterion_4_integrability_certification():
     for name in BUNDLED:
         spec, run = bundled_spec(name)
         grid = GridSpec.from_dict(run["grid"])
-        surf = PipelineSurface(spec, 1.0, 16)
         nodes = [z for z in grid.nodes() if abs(z) > 1e-9]
-        rep = certify(surf, nodes, h)
+        rep = certify(PipelineSurface(spec, 1.0, 16).samples, nodes, h)
         tz, cod = rep.tzitzeica, rep.codazzi
         detail.append(f"{name} tz {tz:.1e} cod {cod:.1e}")
         worst_tz = max(worst_tz, tz)
@@ -110,13 +105,11 @@ def test_criterion_4_integrability_certification():
 
     # convergence order of the stencil, measured where the residual is far
     # above the sampling noise floor (the closed-form rp2 surface)
-    surf = RP2Surface(1j)
-
     def rp2_res(step):
         z0 = 0.6 + 0.3j
         ii, jj = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
         zs = z0 + (jj + 1j * ii) * step
-        u = np.array([s.u for s in surf.samples(zs.ravel())]).reshape(zs.shape)
+        u = rp2_oracle(1j, zs).u
         return tzitzeica_residual(u, np.zeros_like(zs), step)
 
     ratio = rp2_res(2e-3) / rp2_res(1e-3)

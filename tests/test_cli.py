@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -17,13 +20,39 @@ SMALL_GRID = '{"kind":"polar","r_max":1.0,"n_r":3,"n_theta":4}'
 
 
 def run_cli(*args, timeout=None):
-    return subprocess.run([sys.executable, "-m", "lagdpw.cli", *args],
-                          capture_output=True, text=True, timeout=timeout)
+    """``lagdpw`` with these arguments, as a finished process.
+
+    In-process through cli.main, with stdout and stderr captured and every
+    warning written to stderr as a fresh interpreter would; argparse's
+    rejections leave main by SystemExit.  A ``timeout`` guards against a
+    hang, which only a separate process can: the command then runs as
+    ``python -m lagdpw.cli``.
+    """
+    if timeout is not None:
+        return run_module(*args, timeout=timeout)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    err.writelines(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                   for w in caught)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args, timeout=60):
+    return subprocess.run([sys.executable, "-m", "lagdpw.cli", *args], capture_output=True,
+                          text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
 
 
 def test_build_clifford(tmp_path):
+    # the one smoke test of the module entry point
     out = tmp_path / "o"
-    proc = run_cli("build", "--spec", str(SPEC_DIR / "clifford.json"),
+    proc = run_module("build", "--spec", str(SPEC_DIR / "clifford.json"),
                    "--grid", SMALL_GRID, "--out", str(out),
                    "--format", "csv,json,obj")
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -157,6 +186,16 @@ def test_symmetry_command_rotational():
     assert doc["m"] == 4
     assert doc["potential_residual"] < 1e-12
     assert doc["surface_residual"] < 1e-7
+
+
+@pytest.mark.parametrize("spec", ["rotational_m4", "radial_ab"])
+def test_symmetry_without_a_node_to_check_is_too_coarse(spec):
+    # no node lies in 0.05 < |z| < 0.9: the rotational check used to report
+    # a surface residual of 0.0, the radial one to check an off-grid point
+    proc = run_cli("symmetry", "--spec", str(SPEC_DIR / f"{spec}.json"),
+                   "--grid", '{"kind":"polar","r_max":0.04,"n_r":2,"n_theta":4}')
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == "GridTooCoarse"
 
 
 @pytest.mark.parametrize("command", ["build", "validate"])
@@ -300,6 +339,24 @@ def test_non_finite_extent_is_schema_error(tmp_path):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["path"] == "grid.r_max"
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_build_flags_a_truncated_unitary_factor(tmp_path):
+    # the frame's boundary coefficient passes the 1e-6 rule at trunc 16, the
+    # unitary factor h's does not (4.6e-2 of its peak at the corners); the
+    # build used to exit 0 with no failure and an Iwasawa residual of 7.1e3
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "rotational", "m": 6, "a": [[0, 5127.301873607869]],
+                                "b": [0, [5.4616485780672416e-05, 0.6016043232480199]]}))
+    proc = run_cli("build", "--spec", str(spec), "--out", str(tmp_path / "o"), "--grid",
+                   '{"kind":"cartesian","extent":0.11025569938055528,"nx":5,"ny":3}')
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["n_failures"] == 8 and report["n_samples"] == 7
+    assert {f["error"] for f in report["failures"]} == {"TruncationOverflow"}
+    # the known limit: the 7 nodes left pass the rule with h's tail at up to
+    # 1.7e-7 of its peak and residuals up to 1.07e-2
+    assert report["max_iwasawa_residual"] < 2e-2
 
 
 def test_build_with_every_node_failed_exits_3(tmp_path):

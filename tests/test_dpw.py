@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundled_spec, random_realform_degree_one
+from conftest import bundled_spec, random_realform_degree_one, unitarity_on_circle
 from frame_oracle import rk45_frame
 from lagdpw import su3
 from lagdpw.dpw import (E3, MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_v0,
@@ -16,8 +16,7 @@ from lagdpw.dpw import (E3, MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_
 from lagdpw.errors import PoleOnPath, SchemaError, TruncationOverflow
 from lagdpw.geometry import fubini_study_distance, metric_consistency_residual
 from lagdpw.loops import (LoopMatrix, loop_exp, loop_scale, loop_sum,
-                          max_distance_on_circle, twist_residual,
-                          unitarity_residual)
+                          max_distance_on_circle, twist_residual)
 from lagdpw.potentials import (Poly, clifford_spec, constant_degree_one_spec,
                                normalized_spec, radial_monomial_spec)
 
@@ -118,7 +117,7 @@ def test_extended_frame_clifford_and_base():
 def test_extended_frame_unitary_twisted_positive_v0():
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
     fp = frame_point(spec, 0.8 + 0.3j, 16)
-    assert unitarity_residual(fp.frame) < 1e-9
+    assert unitarity_on_circle(fp.frame) < 1e-9
     assert twist_residual(fp.frame) < 1e-9
     v0 = fp.v_plus.coefficient(0)
     assert np.all(np.diagonal(v0).real > 0)
@@ -161,8 +160,8 @@ def test_surface_sample_radial_branch_point():
 def test_grid_sample_clifford_flat():
     grid = GridSpec(kind="polar", r_max=2.0, n_r=4, n_theta=8)
     samples, failures = grid_sample(CL, grid, [1.0])
-    assert len(samples) == 32 and not failures
-    assert max(abs(s.u) for s in samples) < 1e-8
+    assert samples.z.shape == (32,) and not failures
+    assert np.max(np.abs(samples.u)) < 1e-8
     # the frame is normalized at z = 0
     fp0 = frame_point(CL, 0.0, 16)
     assert max_distance_on_circle(fp0.frame, LoopMatrix.identity()) < 1e-12
@@ -183,40 +182,93 @@ _ANGLE = st.floats(0.0, 2 * math.pi, exclude_max=True)
        st.lists(_ANGLE, min_size=1, max_size=4).flatmap(
            lambda t: st.lists(st.sampled_from(t), min_size=len(t), max_size=4)))
 def test_record_lifts_match_per_lambda0_evaluation(name, index, angles):
-    # one record per point: lift[l] is the frame at lambda0[l] (duplicates
-    # allowed), and the lambda_0-independent fields are those of L = 1
+    # lambda_0-independent data once per point: lift[0, l] is the frame at
+    # lambda0[l] (duplicates allowed), and the other fields are those of L = 1
     spec, fps = _bundled_frame_points(name)
     fp = fps[index % len(fps)]
-    rec = sample_from_frame(spec, fp, [np.exp(1j * t) for t in angles])
-    one = sample_from_frame(spec, fp, rec.lambda0[0])
-    assert rec.lift.shape == (len(angles), 3) and len(rec.lambda0) == len(angles)
-    for lam, lift in zip(rec.lambda0, rec.lift):
+    rec = sample_from_frame(spec, [fp], [np.exp(1j * t) for t in angles])
+    one = sample_from_frame(spec, [fp], rec.lambda0[0])
+    assert rec.lift.shape == (1, len(angles), 3) and len(rec.lambda0) == len(angles)
+    for lam, lift in zip(rec.lambda0, rec.lift[0]):
         assert np.array_equal(lift, fp.frame.evaluate(lam) @ E3)
     for field in ("z", "u", "psi", "v0", "singular", "residual", "tail"):
-        assert getattr(rec, field) == getattr(one, field), field
-    assert rec.frame is one.frame is fp.frame
+        assert np.array_equal(getattr(rec, field), getattr(one, field)), field
+    assert rec.frames[0] is one.frames[0] is fp.frame
+
+
+_BATCH_POINT = st.builds(complex, st.floats(-0.9, 0.9), st.floats(-0.9, 0.9))
+_BATCH_FIELDS = ("z", "lift", "u", "psi", "v0", "singular", "residual", "tail")
+# samples functions, with examples each: the pipeline solves up to 30 points per example
+_BATCH_SAMPLES = {
+    "rp2": (lambda: PipelineSurface(bundled_spec("rp2")[0], (1.0, 0.6 + 0.8j), 16).samples, 8),
+    "radial_ab": (lambda: PipelineSurface(
+        bundled_spec("radial_ab")[0], (0.6 + 0.8j, 1.0), 16).samples, 8),
+    "clifford_oracle": (lambda: lambda p: clifford_oracle(p, 0.6 + 0.8j), 15),
+    "rp2_oracle": (lambda: lambda p: rp2_oracle(1j, p, np.exp(0.3j)), 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_SAMPLES))
+def test_a_batch_equals_its_batches_of_one(name):
+    # every field has the shape of the points, and each point's values are
+    # bit for bit those it gets alone, repeats and 2-d arrays included
+    make, examples = _BATCH_SAMPLES[name]
+    samples = make()
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.data())
+    def check(data):
+        base = data.draw(st.lists(_BATCH_POINT, min_size=1, max_size=10))
+        n = data.draw(st.integers(1, 20))
+        picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+        shape = data.draw(st.sampled_from([(n,)] + [(r, n // r) for r in range(2, n + 1)
+                                                    if n % r == 0]))
+        points = np.array(base)[picks].reshape(shape)
+        batch = samples(points)
+        ones = [samples(np.array([z])) for z in points.ravel()]
+        assert all(one.lambda0 == batch.lambda0 for one in ones)
+        for field in _BATCH_FIELDS + ("frames",):
+            values = getattr(batch, field)
+            assert values.shape[:len(shape)] == shape, field
+            flat = values.reshape((n,) + values.shape[len(shape):])
+            for value, one in zip(flat, ones):
+                alone = getattr(one, field)[0]
+                if field == "frames":
+                    assert (value is alone is None) or (
+                        value.min_degree == alone.min_degree
+                        and np.array_equal(value.coeffs, alone.coeffs))
+                else:
+                    assert np.array_equal(value, alone), field
+
+    check()
+
+
+def test_oracle_at_a_scalar_point_has_scalar_fields():
+    for s in (clifford_oracle(0.3 - 0.2j, 1j), rp2_oracle(1j, 0.3 - 0.2j, 1j)):
+        assert s.z.shape == s.u.shape == s.psi.shape == s.singular.shape == ()
+        assert s.lift.shape == (1, 3) and s.lambda0 == (1j,) and s.frames is None
+        assert math.isfinite(float(s.u)) and math.isfinite(abs(complex(s.psi)))
 
 
 def test_grid_sample_empty():
     samples, failures = grid_sample(CL, [], [1.0])
-    assert samples == [] and failures == []
+    assert samples.z.shape == (0,) and samples.lift.shape == (0, 1, 3) and failures == []
 
 
 def test_grid_sample_collects_failures():
     # the branch point z = 0 is not fatal for the rest of the grid
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
     samples, failures = grid_sample(spec, [0.5, 0.9], [1.0])
-    assert len(samples) == 2 and not failures
+    assert samples.z.size == 2 and not failures
 
 
 def test_grid_sample_run_determinism():
     grid = GridSpec(kind="polar", r_max=1.0, n_r=3, n_theta=4)
     s1, _ = grid_sample(CL, grid, [1.0])
     s2, _ = grid_sample(CL, grid, [1.0])
-    assert len(s1) == len(s2) == 12
-    for a, b in zip(s1, s2):
-        assert np.array_equal(a.lift, b.lift)
-        assert a.u == b.u and a.v0 == b.v0
+    assert s1.z.shape == s2.z.shape == (12,)
+    for field in ("lift", "u", "v0"):
+        assert np.array_equal(getattr(s1, field), getattr(s2, field)), field
 
 
 _JSON = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -313,9 +365,9 @@ def test_radial_k1_cubic_form_from_lift():
     # psi0 z^{2k+n} is still measurable from the lift away from the origin
     from lagdpw.geometry import hopf_coefficient
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
-    surf = PipelineSurface(spec, 1.0, 16)
+    samples = PipelineSurface(spec, 1.0, 16).samples
     for z in (0.6, 0.45 + 0.45j):
-        psi_fd = hopf_coefficient(surf, z, h=1e-3)
+        psi_fd = hopf_coefficient(samples, z, h=1e-3)
         assert abs(psi_fd - spec.psi0 * z ** 2) < 1e-6
 
 

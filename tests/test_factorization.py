@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundled_spec, random_twisted_group_loop
+from conftest import bundled_spec, random_twisted_group_loop, unitarity_on_circle
 from lagdpw import dpw, factorization, su3
 from lagdpw.errors import DomainError, IllConditioned, OutsideBigCell
 from lagdpw.factorization import birkhoff, iwasawa
 from lagdpw.loops import (LoopMatrix, loop_exp, loop_product, max_distance_on_circle,
-                          twist_residual, unitarity_residual)
+                          twist_residual)
 
 A = su3.A_CLIFFORD
 Z = 0.7 - 0.4j
@@ -131,7 +131,7 @@ def test_iwasawa_normalization_and_membership(rng):
     assert np.all(np.diagonal(v0).real > 0)
     assert np.max(np.abs(np.diagonal(v0).imag)) < 1e-10
     assert fac.v_plus.min_degree >= 0
-    assert unitarity_residual(fac.unitary) < 1e-9
+    assert unitarity_on_circle(fac.unitary) < 1e-9
     assert twist_residual(fac.unitary) < 1e-9
 
 
@@ -188,7 +188,7 @@ def _routes_agree(g, trunc):
 def test_iwasawa_property_on_random_twisted_loops(seed, amp):
     g = random_twisted_group_loop(np.random.default_rng(seed), amp=amp)
     fac, gap = _routes_agree(g, 16)
-    assert unitarity_residual(fac.unitary) < 1e-9
+    assert unitarity_on_circle(fac.unitary) < 1e-9
     assert twist_residual(fac.unitary) < 1e-9
     v0 = fac.v_plus.coefficient(0)
     assert np.array_equal(v0, np.diag(np.diagonal(v0)))

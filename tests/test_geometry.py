@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import bundled_spec
-from lagdpw.dpw import CliffordSurface, PipelineSurface, RP2Surface
+from lagdpw.dpw import PipelineSurface, clifford_oracle, rp2_oracle
 from lagdpw.errors import GridTooCoarse
 from lagdpw.geometry import (certify, codazzi_residual, fubini_study_distance,
                              hopf_coefficient, symmetry_residual, tzitzeica_residual)
@@ -16,49 +16,48 @@ from lagdpw.potentials import Poly, clifford_spec, rotational_potential
 NODES = [0.3, 0.8, 0.4 + 0.6j, -0.9j, -0.7 + 0.2j, 1.1 - 0.3j]
 
 
-class NoisyLift:
-    """Wraps a surface and injects deterministic non-smooth noise."""
-
-    def __init__(self, base, amp=1e-3):
-        self.base = base
-        self.amp = amp
-        self.lambda0 = base.lambda0
-
-    def samples(self, points):
-        out = []
-        for z, s in zip(points, self.base.samples(points)):
-            rng = np.random.default_rng(abs(hash((round(z.real, 12),
-                                                  round(z.imag, 12)))) % 2 ** 32)
-            noise = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            out.append(replace(s, lift=s.lift + self.amp * noise))
-        return out
+def clifford(lam=1.0):
+    return lambda points: clifford_oracle(points, lam)
 
 
-def _u_grid(surf, zs):
-    return np.array([s.u for s in surf.samples(zs.ravel())]).reshape(zs.shape)
+def rp2(lam=1.0):
+    return lambda points: rp2_oracle(1j, points, lam)
+
+
+def noisy_lift(samples, amp=1e-3):
+    """A samples function with deterministic non-smooth noise on the lift."""
+    def noise(z):
+        rng = np.random.default_rng(abs(hash((round(z.real, 12), round(z.imag, 12)))) % 2 ** 32)
+        return rng.standard_normal(3) + 1j * rng.standard_normal(3)
+
+    def noisy(points):
+        s = samples(points)
+        kick = np.array([noise(z) for z in s.z.ravel()]).reshape(s.z.shape + (1, 3))
+        return replace(s, lift=s.lift + amp * kick)
+    return noisy
 
 
 def test_structure_residuals_clifford_oracle():
-    rep = certify(CliffordSurface(), NODES, h=1e-3)
+    rep = certify(clifford(), NODES, h=1e-3)
     assert rep.horizontality < 1e-9
     assert rep.conformality < 1e-6
 
 
 def test_structure_residuals_rp2_oracle():
-    rep = certify(RP2Surface(1j), NODES, h=1e-3)
+    rep = certify(rp2(), NODES, h=1e-3)
     assert rep.horizontality < 1e-6
     assert rep.conformality < 1e-6
 
 
 def test_structure_residuals_detect_noise():
-    noisy = NoisyLift(CliffordSurface())
+    noisy = noisy_lift(clifford())
     rep = certify(noisy, NODES, h=1e-3)
     assert rep.horizontality > 1e-4
 
 
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
-        certify(CliffordSurface(), [0.1, 0.2], h=1e-3)
+        certify(clifford(), [0.1, 0.2], h=1e-3)
     with pytest.raises(GridTooCoarse):
         tzitzeica_residual(np.zeros((2, 2)), np.zeros((2, 2)), 1e-3)
 
@@ -79,19 +78,19 @@ def test_tzitzeica_rp2_closed_form():
     z0 = 0.6 + 0.3j
     ii, jj = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij")
     zs = z0 + (jj + 1j * ii) * h
-    u = _u_grid(RP2Surface(1j), zs)
+    u = rp2()(zs).u
     psi = np.zeros_like(zs)
     assert tzitzeica_residual(u, psi, h) < 1e-5
 
 
 def test_tzitzeica_halving_ratio_rp2():
     z0 = 0.6 + 0.3j
-    surf = RP2Surface(1j)
+    samples = rp2()
 
     def residual(h):
         ii, jj = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
         zs = z0 + (jj + 1j * ii) * h
-        u = _u_grid(surf, zs)
+        u = samples(zs).u
         return tzitzeica_residual(u, np.zeros_like(zs), h)
 
     r1 = residual(2e-3)
@@ -123,8 +122,7 @@ def test_detector_completeness_corrupted_inputs(rng):
 
 
 def test_certify_pipeline_clifford():
-    surf = PipelineSurface(clifford_spec(), 1.0, 16)
-    rep = certify(surf, NODES, h=1e-3)
+    rep = certify(PipelineSurface(clifford_spec(), 1.0, 16).samples, NODES, h=1e-3)
     assert rep.horizontality < 1e-5
     assert rep.conformality < 1e-5
     assert rep.codazzi < 1e-5
@@ -140,8 +138,7 @@ def test_certify_all_bundled_specs():
         spec, run = bundled_spec(name)
         grid = GridSpec.from_dict(run["grid"])
         nodes = [z for z in grid.nodes() if abs(z) > 1e-9][::7][:6]
-        surf = PipelineSurface(spec, 1.0, 16)
-        rep = certify(surf, nodes, h=1e-3)
+        rep = certify(PipelineSurface(spec, 1.0, 16).samples, nodes, h=1e-3)
         assert rep.horizontality < 1e-5, name
         assert rep.conformality < 1e-5, name
         assert rep.codazzi < 1e-5, name
@@ -205,10 +202,9 @@ def test_hopf_coefficient_carries_family_factor():
     # f_zz . conj(f_zbar) at lambda0 equals -i lambda0^{-3} psi; the helper
     # divides the factor out, so Clifford gives -1 at every lambda0
     for lam in (1.0, np.exp(1j * np.pi / 5)):
-        surf = CliffordSurface(lam)
-        psi = hopf_coefficient(surf, 0.4 + 0.2j, h=1e-3)
+        psi = hopf_coefficient(clifford(lam), 0.4 + 0.2j, h=1e-3)
         assert psi == pytest.approx(-1.0, abs=1e-7)
-    raw = hopf_coefficient(CliffordSurface(1.0), 0.3, h=1e-3) / (1j * 1.0)
+    raw = hopf_coefficient(clifford(1.0), 0.3, h=1e-3) / (1j * 1.0)
     assert raw == pytest.approx(1j, abs=1e-7)  # nu psi = (-i)(-1) = i
 
 
@@ -217,10 +213,10 @@ def test_certify_every_lambda0_from_shared_frames(monkeypatch):
     spec, _ = bundled_spec("rp2")
     lams = (1.0, 0.6 + 0.8j)
     ring = [0.6 * np.exp(2j * np.pi * k / 5) for k in range(5)]
-    singles = [certify(PipelineSurface(spec, lam, 16), ring) for lam in lams]
+    singles = [certify(PipelineSurface(spec, lam, 16).samples, ring) for lam in lams]
     solve, calls = dpw.frame_point, []
     monkeypatch.setattr(dpw, "frame_point", lambda *a: calls.append(a[1]) or solve(*a))
-    both = certify(PipelineSurface(spec, lams, 16), ring)
+    both = certify(PipelineSurface(spec, lams, 16).samples, ring)
     assert len(calls) == 13 * len(ring)  # frames do not depend on lambda_0
     for name, value in vars(both).items():
         assert value == max(getattr(s, name) for s in singles), name
@@ -228,7 +224,7 @@ def test_certify_every_lambda0_from_shared_frames(monkeypatch):
 
 def test_hopf_coefficient_needs_one_lambda0():
     with pytest.raises(ValueError):
-        hopf_coefficient(PipelineSurface(bundled_spec("rp2")[0], (1.0, 1j), 16), 0.4)
+        hopf_coefficient(PipelineSurface(bundled_spec("rp2")[0], (1.0, 1j), 16).samples, 0.4)
 
 
 def test_certify_skips_singular_nodes_and_counts_the_rest():
@@ -236,19 +232,20 @@ def test_certify_skips_singular_nodes_and_counts_the_rest():
     # the branch point z = 0 of a k = 1 monomial makes a node at 1e-12 singular
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
     regular = [0.5, 0.5j, -0.5, -0.5j, 0.3 + 0.3j]
-    rep = certify(PipelineSurface(spec, 1.0, 16), regular + [1e-12])
-    assert rep == certify(PipelineSurface(spec, 1.0, 16), regular)
+    samples = PipelineSurface(spec, 1.0, 16).samples
+    rep = certify(samples, regular + [1e-12])
+    assert rep == certify(samples, regular)
     with pytest.raises(GridTooCoarse):
-        certify(PipelineSurface(spec, 1.0, 16), regular[:4] + [1e-12])
+        certify(samples, regular[:4] + [1e-12])
 
 
 _FIELD = st.floats(-1.0, 1.0, allow_subnormal=False)
 _NODES = st.lists(st.builds(complex, _FIELD, _FIELD), min_size=10, max_size=10)
 # examples per surface: the oracles are cheap, rp2's pipeline solves 390 points each
-_BATCH_SURFACES = {"clifford": (lambda: CliffordSurface(np.exp(0.3j)), 8),
-                   "rp2_oracle": (lambda: RP2Surface(1j, 0.6 + 0.8j), 8),
+_BATCH_SURFACES = {"clifford": (lambda: clifford(np.exp(0.3j)), 8),
+                   "rp2_oracle": (lambda: rp2(0.6 + 0.8j), 8),
                    "rp2_pipeline": (lambda: PipelineSurface(
-                       bundled_spec("rp2")[0], (1.0, 0.6 + 0.8j), 16), 2)}
+                       bundled_spec("rp2")[0], (1.0, 0.6 + 0.8j), 16).samples, 2)}
 
 
 @pytest.mark.parametrize("name", sorted(_BATCH_SURFACES))

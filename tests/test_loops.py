@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_twisted_algebra_loop, random_twisted_group_loop
+from conftest import random_twisted_algebra_loop, random_twisted_group_loop, unitarity_on_circle
 from lagdpw import su3
 from lagdpw.errors import SingularLoop
 from lagdpw.loops import (LoopMatrix, algebra_twist_residual, loop_exp,
                           loop_product, loop_sum, max_distance_on_circle,
-                          twist_residual, unitarity_residual)
+                          twist_residual)
 
 A = su3.A_CLIFFORD
 IDENT = LoopMatrix.identity()
@@ -117,8 +117,8 @@ def test_conj_transpose_is_pointwise_adjoint(rng):
 
 def test_unitarity_residual_detects():
     exponent = LoopMatrix.from_coeffs({-1: A, 1: su3.tau(A)}, twisted=True)
-    assert unitarity_residual(loop_exp(exponent, 16)) < 1e-12
-    assert unitarity_residual(LoopMatrix.constant(np.diag([2.0, 0.5, 1.0]))) > 0.5
+    assert unitarity_on_circle(loop_exp(exponent, 16)) < 1e-12
+    assert unitarity_on_circle(LoopMatrix.constant(np.diag([2.0, 0.5, 1.0]))) > 0.5
 
 
 def test_loop_exp_matches_pointwise_expm(rng):
@@ -158,7 +158,7 @@ def test_circle_residuals_match_per_sample_reference(seed, samples):
     g = random_twisted_group_loop(rng)
     h = random_twisted_group_loop(rng)
     assert max_distance_on_circle(g, h, samples) == _ref_distance(g, h, samples)
-    assert unitarity_residual(g, samples) == _ref_unitarity(g, samples)
+    assert unitarity_on_circle(g, samples) == _ref_unitarity(g, samples)
     assert twist_residual(g, samples) == _ref_twist(g, samples)
 
 
