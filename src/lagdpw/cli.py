@@ -129,8 +129,8 @@ def parse_spec(path):
 def _load_config(args):
     spec, run = parse_spec(args.spec)
     trunc = args.trunc if args.trunc is not None else run.get("trunc", dpw.DEFAULT_TRUNC)
-    if trunc < 4:
-        raise SchemaError("trunc", "must be >= 4")
+    if not 4 <= trunc <= potentials.MAX_TRUNC:
+        raise SchemaError("trunc", f"must be in 4..{potentials.MAX_TRUNC}")
     if args.grid is not None:
         grid = dpw.GridSpec.from_dict(json.loads(args.grid))
     elif "grid" in run:

@@ -102,7 +102,7 @@ def integrate_frame(spec: PotentialSpec, z: complex,
         with np.errstate(all="ignore"):  # overflow surfaces as PoleOnPath below
             try:
                 return loop_exp(loop_scale(spec.d_matrix, z), trunc)
-            except ValueError as exc:  # LoopMatrix refuses non-finite coefficients
+            except ValueError as exc:  # LoopMatrix and loop_exp refuse non-finite values
                 raise PoleOnPath(
                     f"non-finite loop exponential at z = {complex(z)}") from exc
 

@@ -10,7 +10,10 @@ Twisting conventions (both are checked, neither is silently assumed):
   coefficient xi_d lies in the eigenspace g_{d mod 6}; checked
   coefficientwise by ``algebra_twist_residual``.
 * group loops:    g(eps lambda) = sigma(g(lambda)) is nonlinear in the
-  coefficients and is checked by sampling S^1 (``twist_residual``).
+  coefficients, so only sampling S^1 can check it.
+
+Products and exponentials work on bare coefficient stacks (``_cauchy``) and
+build one LoopMatrix for their result.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su3
-from .errors import SingularLoop
 
 COND_LIMIT = 1e12  # condition number past which a loop or split counts as singular
 DEFAULT_CIRCLE_SAMPLES = 24
@@ -128,17 +130,37 @@ class LoopMatrix:
         return LoopMatrix(c, -self.max_degree, self.twisted)
 
 
-def loop_product(a: LoopMatrix, b: LoopMatrix, trunc: int | None = None) -> LoopMatrix:
-    """Cauchy product; exact for all |d| <= trunc, clipped to that window."""
-    lo = a.min_degree + b.min_degree
-    na, nb = a.coeffs.shape[0], b.coeffs.shape[0]
-    out = np.zeros((na + nb - 1, 3, 3), dtype=complex)
-    for i in range(na):
-        out[i:i + nb] += np.einsum("jk,dkl->djl", a.coeffs[i], b.coeffs)
-    res = LoopMatrix(out, lo, a.twisted and b.twisted)
+def _cauchy(a: np.ndarray, a_lo: int, b: np.ndarray, b_lo: int,
+            trunc: int | None = None) -> tuple[np.ndarray, int]:
+    """(coefficients, lowest degree) of the Cauchy product of the stacks a and b,
+    whose lowest degrees are a_lo and b_lo, clipped to |d| <= trunc if given;
+    a product wholly outside that window is an empty stack.
+
+    out[i + j] += a[i] @ b[j] loops over the shorter stack: each step is one
+    (3 n, 3) @ (3, 3) GEMM of the slice of the longer stack that lands in the
+    window with one coefficient, so temporaries stay O(len(a) + len(b)).  A
+    shorter left factor takes the transposed form b_j^t a_i^t = (a_i b_j)^t.
+    """
+    if len(a) < len(b):
+        out, lo = _cauchy(b.transpose(0, 2, 1), b_lo, a.transpose(0, 2, 1), a_lo, trunc)
+        return np.ascontiguousarray(out.transpose(0, 2, 1)), lo
+    a = np.ascontiguousarray(a)  # so that a slice reshapes to (3 n, 3) as a view
+    base = a_lo + b_lo
+    lo, hi = 0, len(a) + len(b) - 2  # the window, counted from degree base
     if trunc is not None:
-        res = res.restrict(max(lo, -trunc), min(res.max_degree, trunc))
-    return res
+        lo, hi = max(lo, -trunc - base), min(hi, trunc - base)
+    out = np.zeros((max(hi - lo + 1, 0), 3, 3), dtype=complex)
+    for j, bj in enumerate(b):
+        i0, i1 = max(0, lo - j), min(len(a), hi - j + 1)
+        if i0 < i1:
+            out[i0 + j - lo:i1 + j - lo] += (a[i0:i1].reshape(-1, 3) @ bj).reshape(-1, 3, 3)
+    return out, base + lo
+
+
+def loop_product(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
+    """Cauchy product over the full degree window."""
+    c, lo = _cauchy(a.coeffs, a.min_degree, b.coeffs, b.min_degree)
+    return LoopMatrix(c, lo, a.twisted and b.twisted)
 
 
 def loop_sum(a: LoopMatrix, b: LoopMatrix, sign: float = 1.0) -> LoopMatrix:
@@ -159,33 +181,37 @@ def loop_exp(x: LoopMatrix, trunc: int) -> LoopMatrix:
 
     Internal window is trunc+EXP_GUARD so cross terms shed during squaring
     stay below the target accuracy; the result is clipped to |d| <= trunc.
+    Its degrees are those the Taylor terms reach, doubled by each squaring.
+    An input whose Wiener norm overflows, or a squaring that overflows inside
+    the internal window, raises ValueError; degrees beyond that window are
+    never formed.
     """
     work = trunc + EXP_GUARD
     nrm = x.wiener_norm()
+    if not np.isfinite(nrm):  # finite coefficients whose sum overflows
+        raise ValueError("non-finite Wiener norm")
     s = max(0, int(np.ceil(np.log2(max(nrm, 1e-300) / 0.5))))
-    xs = loop_scale(x, 0.5 ** s)
-    term = LoopMatrix.identity(twisted=x.twisted)
-    acc = term
-    k = 1
-    while True:
-        term = loop_scale(loop_product(term, xs, work), 1.0 / k)
-        acc = loop_sum(acc, term)
-        if term.wiener_norm() < 1e-18 or k > 40:
+    xs = x.coeffs * 0.5 ** s
+    term, t_lo = np.eye(3, dtype=complex)[None], 0
+    acc = np.zeros((2 * work + 1, 3, 3), dtype=complex)  # degrees -work..work
+    acc[work] = np.eye(3)
+    lo = hi = 0  # the degrees the terms reach
+    for k in range(1, 42):
+        term, t_lo = _cauchy(term, t_lo, xs, x.min_degree, work)
+        if not len(term):  # every degree of the term lies outside the window
             break
-        k += 1
+        term *= 1.0 / k
+        acc[t_lo + work:t_lo + work + len(term)] += term
+        lo, hi = min(lo, t_lo), max(hi, t_lo + len(term) - 1)
+        if np.sum(np.max(np.abs(term), axis=(1, 2))) < 1e-18:  # its Wiener norm
+            break
+    acc = acc[lo + work:hi + work + 1]
     for _ in range(s):
-        acc = loop_product(acc, acc, work)
-    return acc.restrict(max(acc.min_degree, -trunc), min(acc.max_degree, trunc))
-
-
-def twist_residual(g: LoopMatrix, samples: int = DEFAULT_CIRCLE_SAMPLES) -> float:
-    """max over sampled lambda of ||g(eps lambda) - sigma(g(lambda))||_2."""
-    lams = su3.unit_circle(samples)
-    vals = g.evaluate_many(lams)
-    singular = np.linalg.cond(vals) > COND_LIMIT
-    if np.any(singular):
-        raise SingularLoop(f"g({lams[np.argmax(singular)]}) not invertible")
-    return float(np.max(su3.op_norm(g.evaluate_many(su3.EPS * lams) - su3.sigma_grp(vals))))
+        acc, lo = _cauchy(acc, lo, acc, lo, work)
+        if not np.all(np.isfinite(acc)):  # overflow: the remaining squarings cannot undo it
+            raise ValueError("non-finite loop coefficient")
+    lo_out, hi_out = max(lo, -trunc), min(lo + len(acc) - 1, trunc)
+    return LoopMatrix(acc[lo_out - lo:hi_out - lo + 1], lo_out, x.twisted)
 
 
 def algebra_twist_residual(x: LoopMatrix) -> float:

@@ -37,6 +37,7 @@ from .loops import LoopMatrix, algebra_twist_residual
 
 KINDS = ("normalized", "constant_degree_one", "radial_monomial", "rotational", "vacuum")
 SYMMETRY_ANGLES = 12  # z per ring in check_potential_symmetry
+MAX_TRUNC = 256  # caps a frame node's memory, which grows as trunc^2 (README)
 
 
 @dataclass(frozen=True)
@@ -380,9 +381,11 @@ def is_finite_number(v) -> bool:
         return False
 
 
-def _int_from(v, path, lo: int) -> int:
-    if not (is_finite_number(v) and isinstance(v, int) and v >= lo):
-        raise SchemaError(path, f"integer >= {lo} required")
+def _int_from(v, path, lo: int, hi: int | None = None) -> int:
+    if not (is_finite_number(v) and isinstance(v, int) and v >= lo
+            and (hi is None or v <= hi)):
+        raise SchemaError(path, f"integer >= {lo} required" if hi is None
+                          else f"integer in {lo}..{hi} required")
     return v
 
 
@@ -497,7 +500,7 @@ def spec_from_dict(doc: dict):
 
     run = {}
     if "trunc" in doc:
-        run["trunc"] = _int_from(doc["trunc"], "trunc", 4)
+        run["trunc"] = _int_from(doc["trunc"], "trunc", 4, MAX_TRUNC)
     if "grid" in doc:
         run["grid"] = doc["grid"]
     if "lambda" in doc:
@@ -516,25 +519,3 @@ def circle_values(lams) -> list:
         if not 0.9 <= abs(lam) <= 1.1:  # NaN fails too
             raise SchemaError(f"lambda[{i}]", f"{lam} is not near S^1")
     return [lam / abs(lam) for lam in lams]
-
-
-def spec_to_dict(spec: PotentialSpec) -> dict:
-    def enc(c: complex):
-        c = complex(c)
-        return [c.real, c.imag]
-
-    if spec.kind == "normalized":
-        return {"kind": "normalized",
-                "a": [enc(c) for c in spec.a_fn.coeffs],
-                "b": [enc(c) for c in spec.b_fn.coeffs]}
-    if spec.kind == "radial_monomial":
-        return {"kind": "radial_monomial", "k": spec.k, "n": spec.n,
-                "a_k": enc(spec.a_fn.coeffs[spec.k]), "psi0": enc(spec.psi0)}
-    if spec.kind == "vacuum":
-        return {"kind": "vacuum", "a": enc(1j), "b": enc(1j)}
-    if spec.kind == "rotational":
-        raise ValueError("rotational specs serialize from their (m, a, b) source")
-    d = {str(deg): [[enc(spec.d_matrix.coefficient(deg)[i, j]) for j in range(3)]
-                    for i in range(3)]
-         for deg in spec.d_matrix.degrees}
-    return {"kind": "constant_degree_one", "d": d}

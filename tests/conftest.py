@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lagdpw import su3
-from lagdpw.loops import LoopMatrix, loop_exp, loop_scale
+from lagdpw.errors import SingularLoop
+from lagdpw.loops import COND_LIMIT, LoopMatrix, loop_exp, loop_scale
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "lagdpw" / "specs"
 
@@ -19,6 +20,16 @@ def bundled_spec(name):
 def unitarity_on_circle(g, samples=24):
     """max ||g* g - I||_2 of a loop over the samples of S^1."""
     return float(np.max(su3.unitarity_defect(g.evaluate_many(su3.unit_circle(samples)))))
+
+
+def twist_residual(g, samples=24):
+    """max over sampled lambda of ||g(eps lambda) - sigma(g(lambda))||_2 for a group loop."""
+    lams = su3.unit_circle(samples)
+    vals = g.evaluate_many(lams)
+    singular = np.linalg.cond(vals) > COND_LIMIT
+    if np.any(singular):
+        raise SingularLoop(f"g({lams[np.argmax(singular)]}) not invertible")
+    return float(np.max(su3.op_norm(g.evaluate_many(su3.EPS * lams) - su3.sigma_grp(vals))))
 
 
 def in_eigenspace(x, k, tol):

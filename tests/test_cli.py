@@ -13,6 +13,7 @@ import pytest
 
 from conftest import SPEC_DIR
 from lagdpw import cli, geometry
+from lagdpw.potentials import MAX_TRUNC
 
 SRC_DIR = SPEC_DIR.parents[1]
 
@@ -308,6 +309,17 @@ def test_trunc_bound_rejected(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("trunc", [MAX_TRUNC + 1, 1_000_000_000])
+def test_trunc_ceiling_is_schema_error(tmp_path, trunc):
+    # refused at load, before a frame of that size is allocated
+    proc = run_cli("build", "--spec", str(SPEC_DIR / "clifford.json"),
+                   "--grid", SMALL_GRID, "--trunc", str(trunc),
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "SchemaError" and doc["path"] == "trunc"
+
+
 def _build_with_grid(tmp_path, grid, *extra, timeout=None):
     return run_cli("build", "--spec", str(SPEC_DIR / "clifford.json"), "--grid", grid,
                    "--out", str(tmp_path / "o"), *extra, timeout=timeout)
@@ -377,6 +389,27 @@ def test_constant_degree_one_overflow_is_pole_on_path(tmp_path):
                                 "d": _clifford_d([0.0, 1e307])}))
     proc = run_cli("build", "--spec", str(spec),
                    "--grid", '{"kind":"polar","r_max":1.0,"n_r":1,"n_theta":2}',
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "NoNodeSolved"
+    assert "PoleOnPath" in doc["message"]
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("d, r_max", [
+    # x lambda^-1 A_CLIFFORD: exp(z D) overflows inside loop_exp's window
+    # before its last squaring
+    ({"-1": _clifford_d([1e15, 0.0])["-1"]}, 1.0),
+    ({"-1": _clifford_d([1e100, 0.0])["-1"]}, 1.0),
+    # every coefficient of 12 D is finite, but its Wiener norm is not
+    (_clifford_d([0.0, 1e307]), 12.0),
+])
+def test_constant_degree_one_overflow_in_loop_exp_is_pole_on_path(tmp_path, d, r_max):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "constant_degree_one", "d": d}))
+    grid = {"kind": "polar", "r_max": r_max, "n_r": 1, "n_theta": 2}
+    proc = run_cli("build", "--spec", str(spec), "--grid", json.dumps(grid),
                    "--out", str(tmp_path / "o"))
     assert proc.returncode == 3, proc.stdout + proc.stderr
     doc = json.loads(proc.stdout)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundled_spec, random_realform_degree_one, unitarity_on_circle
+from conftest import (bundled_spec, random_realform_degree_one, twist_residual,
+                      unitarity_on_circle)
 from frame_oracle import rk45_frame
 from lagdpw import su3
 from lagdpw.dpw import (E3, MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_v0,
@@ -15,8 +16,7 @@ from lagdpw.dpw import (E3, MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_
                         sample_from_frame, surface_sample)
 from lagdpw.errors import PoleOnPath, SchemaError, TruncationOverflow
 from lagdpw.geometry import fubini_study_distance, metric_consistency_residual
-from lagdpw.loops import (LoopMatrix, loop_exp, loop_scale, loop_sum,
-                          max_distance_on_circle, twist_residual)
+from lagdpw.loops import LoopMatrix, loop_exp, loop_scale, loop_sum, max_distance_on_circle
 from lagdpw.potentials import (Poly, clifford_spec, constant_degree_one_spec,
                                normalized_spec, radial_monomial_spec)
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundled_spec, random_twisted_group_loop, unitarity_on_circle
+from conftest import (bundled_spec, random_twisted_group_loop, twist_residual,
+                      unitarity_on_circle)
 from lagdpw import dpw, factorization, su3
 from lagdpw.errors import DomainError, IllConditioned, OutsideBigCell
 from lagdpw.factorization import birkhoff, iwasawa
-from lagdpw.loops import (LoopMatrix, loop_exp, loop_product, max_distance_on_circle,
-                          twist_residual)
+from lagdpw.loops import LoopMatrix, loop_exp, loop_product, max_distance_on_circle
 
 A = su3.A_CLIFFORD
 Z = 0.7 - 0.4j

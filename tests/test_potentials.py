@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from lagdpw import su3
 from lagdpw.errors import NotVacuum, PoleAtOrigin, SchemaError
 from lagdpw.loops import algebra_twist_residual
-from lagdpw.potentials import (KINDS, Poly, PotentialSpec, check_potential_symmetry,
+from lagdpw.potentials import (KINDS, MAX_TRUNC, Poly, PotentialSpec, check_potential_symmetry,
                                clifford_spec, constant_degree_one_spec,
                                homogeneity_params, normalized_spec,
                                outer_symmetry_order, radial_monomial_spec,
                                rotational_potential, spec_from_dict,
-                               spec_to_dict, vacuum_normalize, wu_potential)
+                               vacuum_normalize, wu_potential)
 
 CLIFFORD_MATRIX = np.array([[0, 0, 1j], [1j, 0, 0], [0, 1j, 0]], dtype=complex)
 
@@ -239,6 +239,23 @@ def test_constant_degree_one_requires_twisted():
 
 # -- serialization ------------------------------------------------------------------
 
+def spec_to_dict(spec: PotentialSpec) -> dict:
+    """The JSON document of a vacuum, radial_monomial or normalized spec."""
+    def enc(c):
+        c = complex(c)
+        return [c.real, c.imag]
+
+    if spec.kind == "normalized":
+        return {"kind": "normalized",
+                "a": [enc(c) for c in spec.a_fn.coeffs],
+                "b": [enc(c) for c in spec.b_fn.coeffs]}
+    if spec.kind == "radial_monomial":
+        return {"kind": "radial_monomial", "k": spec.k, "n": spec.n,
+                "a_k": enc(spec.a_fn.coeffs[spec.k]), "psi0": enc(spec.psi0)}
+    assert spec.kind == "vacuum"
+    return {"kind": "vacuum", "a": enc(1j), "b": enc(1j)}
+
+
 def test_json_round_trips():
     for spec in (clifford_spec(), radial_monomial_spec(1, 0, 1.0, psi0=-1.0),
                  normalized_spec(Poly.of(1.0), Poly.of(2.0))):
@@ -387,9 +404,10 @@ def test_schema_run_defaults():
            "lambda": [[0, 1]], "grid": {"kind": "polar"}}
     spec, run = spec_from_dict(doc)
     assert run == {"trunc": 12, "lambda": [1j], "grid": {"kind": "polar"}}
-    with pytest.raises(SchemaError):
-        spec_from_dict({"kind": "normalized", "a": [[1, 0]], "b": [],
-                        "trunc": 2})
+    assert spec_from_dict({**doc, "trunc": MAX_TRUNC})[1]["trunc"] == MAX_TRUNC
+    for trunc in (2, MAX_TRUNC + 1, 10 ** 9):
+        with pytest.raises(SchemaError, match="trunc"):
+            spec_from_dict({**doc, "trunc": trunc})
     # the frame has no tolerance, so a spec-level tol is an unknown field
     with pytest.raises(SchemaError, match="tol: unknown field"):
         spec_from_dict({**doc, "tol": 1e-9})
