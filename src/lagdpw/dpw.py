@@ -24,7 +24,6 @@ nu = -i lambda_0^{-3}, not psi itself (cf. geometry.hopf_coefficient).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,12 +135,12 @@ def _check_boundary(loop: LoopMatrix, trunc: int, what: str) -> None:
 
 
 def frame_point(spec: PotentialSpec, z: complex, trunc: int = DEFAULT_TRUNC) -> FramePoint:
-    """The Iwasawa split of the frame at z; TruncationOverflow when the unitary
-    factor h, which spans degrees -trunc..trunc, is cut off like the frame."""
+    """The Iwasawa split of the frame at z, with h on degrees -trunc..trunc;
+    TruncationOverflow when h is cut off there like the frame."""
     c = integrate_frame(spec, z, trunc)
     fac: IwasawaFactors = iwasawa(c, trunc)
     _check_boundary(fac.unitary, trunc, "unitary factor ")
-    return FramePoint(z=complex(z), frame=fac.unitary,
+    return FramePoint(z=complex(z), frame=fac.unitary.restrict(-trunc, trunc),
                       v_plus=fac.v_plus, residual=fac.residual,
                       tail=c.tail_norm(trunc))
 
@@ -158,7 +157,7 @@ class SurfaceSamples:
     singular: np.ndarray  # S, bool
     residual: np.ndarray  # S
     tail: np.ndarray      # S
-    frames: np.ndarray    # S, object: the extended frame, None for the oracles
+    frames: np.ndarray    # S + (2 trunc + 1, 3, 3): the extended frame on degrees -trunc..trunc
 
     def take(self, index) -> "SurfaceSamples":
         """The points at ``index`` over the leading axes: integers of any shape, or a mask."""
@@ -178,26 +177,30 @@ def _circle(lambdas) -> tuple:
     return tuple(_normalize_lambda0(lam) for lam in np.atleast_1d(lambdas))
 
 
-def sample_from_frame(spec: PotentialSpec, fps, lambdas) -> SurfaceSamples:
-    """The 1-d batch of a sequence of frame points, with the lift at every value of ``lambdas``."""
+def frame_values(frames: np.ndarray, lams) -> np.ndarray:
+    """F(lambda) at each of lams, S + (L, 3, 3), from frames of shape S + (2 trunc + 1, 3, 3)."""
+    trunc = (frames.shape[-3] - 1) // 2
+    powers = np.asarray(lams)[:, None] ** np.arange(-trunc, trunc + 1)
+    # unoptimized einsum sums each value in one order for any batch and any len(lams)
+    return np.einsum("ld,...dij->...lij", powers, frames)
+
+
+def sample_from_frame(spec: PotentialSpec, fps, lambdas,
+                      trunc: int = DEFAULT_TRUNC) -> SurfaceSamples:
+    """The 1-d batch of a sequence of frame points at ``trunc``, with the lift at every value of
+    ``lambdas``."""
     lams, fps = _circle(lambdas), list(fps)
-    z = [fp.z for fp in fps]
-    v0 = [complex(fp.v_plus.coefficient(0)[0, 0]) for fp in fps]
-    # e^{u/2} per point in Python arithmetic: numpy's complex product may differ in the last bit
-    half = np.array([abs(complex(spec.coefficient_matrix(w)[0, 2]) * v) for w, v in zip(z, v0)])
-    u = [-math.inf if m < METRIC_FLOOR else 2.0 * math.log(m) for m in half]
-    lift = np.array([fp.frame.evaluate_many(lams) @ E3 for fp in fps], dtype=complex)
-    return SurfaceSamples(
-        np.array(z, dtype=complex), lift.reshape(-1, len(lams), 3), np.array(u, dtype=float),
-        np.array([spec.psi(w) for w in z], dtype=complex), np.array(v0, dtype=complex), lams,
-        half < METRIC_FLOOR, np.array([fp.residual for fp in fps], dtype=float),
-        np.array([fp.tail for fp in fps], dtype=float),
-        np.fromiter((fp.frame for fp in fps), dtype=object, count=len(fps)))
-
-
-def surface_sample(spec: PotentialSpec, z: complex, lambdas=1.0,
-                   trunc: int = DEFAULT_TRUNC) -> SurfaceSamples:
-    return sample_from_frame(spec, [frame_point(spec, z, trunc)], lambdas).take(0)
+    z = np.array([fp.z for fp in fps], dtype=complex)
+    v0 = np.array([fp.v_plus.coefficient(0)[0, 0] for fp in fps], dtype=complex)
+    half = np.abs(spec.a(z) * v0)  # e^{u/2}
+    singular = half < METRIC_FLOOR
+    with np.errstate(divide="ignore"):
+        u = np.where(singular, -np.inf, 2.0 * np.log(half))
+    frames = np.array([fp.frame.coeffs for fp in fps], dtype=complex).reshape(
+        -1, 2 * trunc + 1, 3, 3)
+    return SurfaceSamples(z, frame_values(frames, lams) @ E3, u, spec.psi(z), v0, lams, singular,
+                          np.array([fp.residual for fp in fps], dtype=float),
+                          np.array([fp.tail for fp in fps], dtype=float), frames)
 
 
 # -- grids ---------------------------------------------------------------------
@@ -271,7 +274,7 @@ def grid_sample(spec: PotentialSpec, grid: GridSpec, lambdas=(1.0,),
             fps.append(frame_point(spec, z, trunc))
         except Exception as exc:  # noqa: BLE001 - per-node failures are data
             failures.append((complex(z), exc))
-    return sample_from_frame(spec, fps, lambdas), failures
+    return sample_from_frame(spec, fps, lambdas, trunc), failures
 
 
 # -- closed-form oracles --------------------------------------------------------
@@ -286,11 +289,12 @@ def clifford_frame_loop(z: complex, trunc: int = DEFAULT_TRUNC) -> LoopMatrix:
 
 
 def _oracle_samples(z: np.ndarray, lam: complex, lift, u, psi, v0) -> SurfaceSamples:
-    """Closed-form samples (L = 1) from values (or constants) over z.ravel(), shaped like z."""
+    """Closed-form samples (L = 1) from values (or constants) over z.ravel(), shaped like z;
+    each frame is the identity stack of shape (1, 3, 3)."""
     n = z.size
     u, psi, v0, singular, zero = (np.broadcast_to(x, n) for x in (u, psi, v0, False, 0.0))
     batch = SurfaceSamples(z.ravel(), lift[:, None], u, psi, v0, (lam,), singular, zero, zero,
-                           np.full(n, None))
+                           np.broadcast_to(su3.IDENTITY, (n, 1, 3, 3)))
     return batch.take(np.arange(n).reshape(z.shape))
 
 
@@ -345,7 +349,8 @@ class PipelineSurface:
         z = np.asarray(points, dtype=complex)
         first = {}  # distinct point -> its index in the batch, in order of appearance
         index = [first.setdefault(p, len(first)) for p in z.ravel().tolist()]
-        batch = sample_from_frame(self.spec, [self.frame_point(p) for p in first], self.lambdas)
+        batch = sample_from_frame(self.spec, [self.frame_point(p) for p in first], self.lambdas,
+                                  self.trunc)
         return batch.take(np.array(index, dtype=int).reshape(z.shape))
 
 
@@ -365,15 +370,10 @@ def axis_log_v0(spec: PotentialSpec):
     """
     radii = np.geomspace(0.12, 0.85, AXIS_RADII)
     j_max = min(AXIS_FIT_DEGREE, AXIS_THETA // 2 - 1)
-    modes = np.zeros((AXIS_RADII, j_max + 1), dtype=complex)
-    for ri, rho in enumerate(radii):
-        w = np.empty(AXIS_THETA)
-        for mi in range(AXIS_THETA):
-            z = rho * np.exp(2j * np.pi * mi / AXIS_THETA)
-            fp = frame_point(spec, z)
-            w[mi] = math.log(abs(fp.v_plus.coefficient(0)[0, 0]))
-        spec_w = np.fft.fft(w) / AXIS_THETA  # index j: coefficient of e^{i j theta}
-        modes[ri] = spec_w[:j_max + 1]
+    z = radii[:, None] * np.exp(2j * np.pi * np.arange(AXIS_THETA) / AXIS_THETA)
+    w = np.log(np.abs(PipelineSurface(spec).samples(z).v0))
+    # index j along the circle: the coefficient of e^{i j theta}
+    modes = (np.fft.fft(w, axis=1) / AXIS_THETA)[:, :j_max + 1]
     # Fit mode_j(rho) = rho^j * P_j(rho^2) with P_j expanded in Chebyshev
     # polynomials on the sampled rho^2 interval; a monomial basis would
     # amplify the sample noise by its ~1e9 condition number, while the

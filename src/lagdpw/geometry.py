@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import su3
-from .dpw import DEFAULT_TRUNC, PipelineSurface, SurfaceSamples, frame_point, sample_from_frame
+from .dpw import (DEFAULT_TRUNC, PipelineSurface, SurfaceSamples, frame_point, frame_values,
+                  sample_from_frame)
 from .errors import DomainError, GridTooCoarse
 from .loops import loop_product, loop_scale, loop_sum
 
@@ -78,25 +79,20 @@ def _sample_stencil(samples, nodes, h: float, corners) -> Stencil:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hermitian a . conj(b) over the last axis, summed left to right like np.sum of three."""
-    p = a * np.conj(b)
-    return p[..., 0] + p[..., 1] + p[..., 2]
+    """Hermitian a . conj(b) over the last axis."""
+    return np.sum(a * np.conj(b), axis=-1)
 
 
-def _abs(w: np.ndarray) -> np.ndarray:
-    """|w| as hypot(re, im): bit-equal to Python's abs of each complex."""
-    return np.hypot(w.real, w.imag)
-
-
-def fubini_study_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Distance of [u], [v] in CP^2: atan2(|v - <v, u> u|, |<v, u>|) for unit lifts.
+def fubini_study_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distance of [u], [v] in CP^2 over the leading axes of u and v, shape S + (3,):
+    atan2(|v - <v, u> u|, |<v, u>|) for unit lifts.
 
     Accurate to rounding at both ends; arccos |<u, v>| loses half the digits near 0.
     """
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    c = complex(_dot(v, u))
-    return float(math.atan2(np.linalg.norm(v - c * u), abs(c)))
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    c = _dot(v, u)
+    return np.arctan2(np.linalg.norm(v - c[..., None] * u, axis=-1), np.abs(c))
 
 
 def _first(f: dict, h: float):
@@ -136,13 +132,10 @@ def structure_residuals(st: Stencil) -> StructureResiduals:
     """Horizontality/conformality of the lift and unitarity/det of the frames, maxima over st."""
     f = st.values("lift")
     fz, fzb = _first(f, st.h)
-    horiz = _abs(_dot(fz, f[0, 0])) + _abs(_dot(fzb, f[0, 0]))
-    # math.exp: numpy's vectorized exp may differ from it in the last bit
-    eu = np.vectorize(math.exp, otypes=[float])(st.values("u")[0, 0])
-    conf = np.maximum(_abs(_dot(fz, fz) - eu[:, None]), _abs(_dot(fz, fzb)))
-    lams = su3.unit_circle(S1_SAMPLES)
-    frames = st.values("frames")[0, 0]  # None for a closed form
-    fr = su3.IDENTITY if frames[0] is None else np.stack([f.evaluate_many(lams) for f in frames])
+    horiz = np.abs(_dot(fz, f[0, 0])) + np.abs(_dot(fzb, f[0, 0]))
+    eu = np.exp(st.values("u")[0, 0])
+    conf = np.maximum(np.abs(_dot(fz, fz) - eu[:, None]), np.abs(_dot(fz, fzb)))
+    fr = frame_values(st.values("frames")[0, 0], su3.unit_circle(S1_SAMPLES))
     return StructureResiduals(float(np.max(horiz)), float(np.max(conf)),
                               float(np.max(su3.unitarity_defect(fr))),
                               float(np.max(np.abs(np.linalg.det(fr) - 1.0))))
@@ -226,8 +219,7 @@ def symmetry_residual(spec, gamma, T: np.ndarray, nodes,
     nodes = list(nodes)
     images, lifts = PipelineSurface(spec, lambdas, trunc).samples(
         [[gamma(z) for z in nodes], nodes]).lift
-    return max((fubini_study_distance(fa, T @ fb) for fa, fb in
-                zip(images.reshape(-1, 3), lifts.reshape(-1, 3))), default=0.0)
+    return float(np.max(fubini_study_distance(images, lifts @ T.T), initial=0.0))
 
 
 def metric_consistency_residual(spec, z: complex, h: float = 1e-4,
@@ -237,7 +229,7 @@ def metric_consistency_residual(spec, z: complex, h: float = 1e-4,
     fz = loop_scale(loop_sum(fp_p.frame, fp_m.frame, sign=-1.0), 1.0 / (2 * h))
     mc = loop_product(fp.frame.conj_transpose(), fz)
     entry = mc.coefficient(-1)[0, 2]
-    return abs(abs(entry) - math.exp(sample_from_frame(spec, [fp], 1.0).u[0] / 2.0))
+    return abs(abs(entry) - math.exp(sample_from_frame(spec, [fp], 1.0, trunc).u[0] / 2.0))
 
 
 def homogeneity_frame_residual(spec, t_values, z_values, p0: float = 1.0,

@@ -294,7 +294,7 @@ def crosscheck(spec: PotentialSpec, s_range=(1e-3, 5.0), trunc: int = 24,
     s_vals = np.geomspace(max(s_lo, piii.s_samples[0]), s_hi, n_points)
     r_vals = s_vals ** (1.0 / float(params.l))
     fps = [frame_point(spec, complex(r), trunc) for r in r_vals]
-    s_dpw, h_dpw = metric_to_h(r_vals, sample_from_frame(spec, fps, 1.0).u, params)
+    s_dpw, h_dpw = metric_to_h(r_vals, sample_from_frame(spec, fps, 1.0, trunc).u, params)
     h_ref = piii.interp(s_dpw)
     return float(np.max(np.abs(h_dpw - h_ref)))
 

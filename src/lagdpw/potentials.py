@@ -51,7 +51,8 @@ class Poly:
         return Poly(tuple(complex(c) for c in coeffs))
 
     def __call__(self, z):
-        acc = 0.0 + 0.0j
+        """p(z) by Horner, shaped like z."""
+        acc = 0j * z
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
@@ -116,17 +117,19 @@ class PotentialSpec:
 
     # -- coefficient access --------------------------------------------------
 
-    def a(self, z: complex) -> complex:
-        if self.kind == "constant_degree_one":
-            return self.d_matrix.coefficient(-1)[0, 2] / 1j
-        return complex(self.a_fn(z))
+    # a, b and psi take z of any shape and return values shaped like it
 
-    def b(self, z: complex) -> complex:
+    def a(self, z):
         if self.kind == "constant_degree_one":
-            return self.d_matrix.coefficient(-1)[1, 0] / 1j
-        return complex(self.b_fn(z))
+            return self.d_matrix.coefficient(-1)[0, 2] / 1j + np.zeros_like(z, dtype=complex)
+        return self.a_fn(z)
 
-    def psi(self, z: complex) -> complex:
+    def b(self, z):
+        if self.kind == "constant_degree_one":
+            return self.d_matrix.coefficient(-1)[1, 0] / 1j + np.zeros_like(z, dtype=complex)
+        return self.b_fn(z)
+
+    def psi(self, z):
         """Cubic-form coefficient implied by the potential."""
         return -self.a(z) ** 2 * self.b(z)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import bundled_spec, random_twisted_group_loop
 from lagdpw.dpw import (GridSpec, PipelineSurface, clifford_frame_loop, axis_log_v0,
-                        frame_point, rp2_oracle, surface_sample)
+                        frame_point, rp2_oracle)
 from lagdpw.factorization import birkhoff, iwasawa
 from lagdpw.geometry import (certify, homogeneity_frame_residual,
                              hopf_coefficient, symmetry_residual,
@@ -40,7 +40,7 @@ def test_criterion_1_clifford_oracle_equivalence():
         oracle = clifford_frame_loop(z, trunc)
         worst_frame = max(worst_frame,
                           loop_sum(fp.frame, oracle, sign=-1.0).wiener_norm())
-        s = surface_sample(spec, z, 1.0, trunc)
+        s = PipelineSurface(spec, 1.0, trunc).samples(z)
         worst_u = max(worst_u, abs(s.u))
         worst_psi = max(worst_psi, abs(s.psi + 1.0))
     samples = PipelineSurface(spec, 1.0, trunc).samples

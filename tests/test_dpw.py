@@ -10,10 +10,9 @@ from conftest import (bundled_spec, random_realform_degree_one, twist_residual,
                       unitarity_on_circle)
 from frame_oracle import rk45_frame
 from lagdpw import su3
-from lagdpw.dpw import (E3, MAX_GRID_NODES, GridSpec, PipelineSurface, axis_log_v0,
-                        clifford_frame_loop, clifford_oracle,
-                        frame_point, grid_sample, integrate_frame, rp2_oracle,
-                        sample_from_frame, surface_sample)
+from lagdpw.dpw import (E3, MAX_GRID_NODES, FramePoint, GridSpec, PipelineSurface,
+                        axis_log_v0, clifford_frame_loop, clifford_oracle, frame_point,
+                        grid_sample, integrate_frame, rp2_oracle, sample_from_frame)
 from lagdpw.errors import PoleOnPath, SchemaError, TruncationOverflow
 from lagdpw.geometry import fubini_study_distance, metric_consistency_residual
 from lagdpw.loops import LoopMatrix, loop_exp, loop_scale, loop_sum, max_distance_on_circle
@@ -129,19 +128,19 @@ def test_extended_frame_rp2_structure():
     frame = frame_point(RP2, z, 16).frame.trim(1e-12)
     assert frame.min_degree >= -2 and frame.max_degree <= 2
     a = 1j  # u0 = 0
-    s = surface_sample(RP2, z, 1.0)
+    s = PipelineSurface(RP2, 1.0).samples(z)
     w = abs(a * z) ** 2 / 2
     assert s.v0 == pytest.approx(1.0 / (1.0 + w), abs=1e-10)
 
 
 def test_surface_sample_clifford_values():
-    s0 = surface_sample(CL, 0.0, 1.0)
+    s0 = PipelineSurface(CL, 1.0).samples(0.0)
     assert np.allclose(s0.lift, [0, 0, 1], atol=1e-12)
     assert s0.u == pytest.approx(0.0, abs=1e-12)
     assert s0.psi == pytest.approx(-1.0)
     for z in (0.7, 1.2 - 0.9j):
         for lam in (1.0, 1j):
-            s = surface_sample(CL, z, lam)
+            s = PipelineSurface(CL, lam).samples(z)
             assert abs(s.u) < 1e-8
             assert s.psi == pytest.approx(-1.0)
             assert np.linalg.norm(s.lift) == pytest.approx(1.0, abs=1e-8)
@@ -149,10 +148,10 @@ def test_surface_sample_clifford_values():
 
 def test_surface_sample_radial_branch_point():
     spec = radial_monomial_spec(1, 0, 1.0, psi0=-1.0)
-    s = surface_sample(spec, 0.0, 1.0)
+    s = PipelineSurface(spec, 1.0).samples(0.0)
     assert s.singular
     assert s.u == -math.inf
-    s1 = surface_sample(spec, 0.8, 1.0)
+    s1 = PipelineSurface(spec, 1.0).samples(0.8)
     assert not s1.singular
     assert np.isfinite(s1.u)
 
@@ -193,7 +192,8 @@ def test_record_lifts_match_per_lambda0_evaluation(name, index, angles):
         assert np.array_equal(lift, fp.frame.evaluate(lam) @ E3)
     for field in ("z", "u", "psi", "v0", "singular", "residual", "tail"):
         assert np.array_equal(getattr(rec, field), getattr(one, field)), field
-    assert rec.frames[0] is one.frames[0] is fp.frame
+    assert np.array_equal(rec.frames[0], fp.frame.coeffs)
+    assert np.array_equal(one.frames[0], fp.frame.coeffs)
 
 
 _BATCH_POINT = st.builds(complex, st.floats(-0.9, 0.9), st.floats(-0.9, 0.9))
@@ -232,21 +232,33 @@ def test_a_batch_equals_its_batches_of_one(name):
             assert values.shape[:len(shape)] == shape, field
             flat = values.reshape((n,) + values.shape[len(shape):])
             for value, one in zip(flat, ones):
-                alone = getattr(one, field)[0]
-                if field == "frames":
-                    assert (value is alone is None) or (
-                        value.min_degree == alone.min_degree
-                        and np.array_equal(value.coeffs, alone.coeffs))
-                else:
-                    assert np.array_equal(value, alone), field
+                assert np.array_equal(value, getattr(one, field)[0]), field
 
     check()
+
+
+def test_a_large_batch_equals_its_batches_of_one(rng):
+    # past 16384 complex values numpy may run an operation on a temporary in place, which
+    # can round a complex product differently; a point's u, psi and v0 must not depend on it
+    spec = normalized_spec(Poly.of(0.3 + 0.2j, 1.1 - 0.4j), Poly.of(0.5j, -0.7, 0.2 + 0.1j))
+    n = 17000
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.5
+    v0 = rng.uniform(0.5, 1.5, n) * np.exp(2j * np.pi * rng.random(n))
+    frame = LoopMatrix.identity().restrict(-1, 1)
+    fps = [FramePoint(w, frame, LoopMatrix.constant(np.diag([v, 1.0, 1.0])), 0.0, 0.0)
+           for w, v in zip(z.tolist(), v0.tolist())]
+    batch = sample_from_frame(spec, fps, 1.0, trunc=1)
+    for i in rng.choice(n, 40, replace=False):
+        one = sample_from_frame(spec, [fps[i]], 1.0, trunc=1)
+        for field in ("u", "psi", "v0"):
+            assert np.array_equal(getattr(batch, field)[i], getattr(one, field)[0]), field
 
 
 def test_oracle_at_a_scalar_point_has_scalar_fields():
     for s in (clifford_oracle(0.3 - 0.2j, 1j), rp2_oracle(1j, 0.3 - 0.2j, 1j)):
         assert s.z.shape == s.u.shape == s.psi.shape == s.singular.shape == ()
-        assert s.lift.shape == (1, 3) and s.lambda0 == (1j,) and s.frames is None
+        assert s.lift.shape == (1, 3) and s.lambda0 == (1j,)
+        assert np.array_equal(s.frames, su3.IDENTITY[None])
         assert math.isfinite(float(s.u)) and math.isfinite(abs(complex(s.psi)))
 
 
@@ -320,7 +332,7 @@ def test_rp2_oracle_values():
 def test_pipeline_matches_rp2_oracle():
     for z in (0.5, 1.3 + 0.8j, -1.9j):
         for lam in (1.0, 1j):
-            s = surface_sample(RP2, z, lam)
+            s = PipelineSurface(RP2, lam).samples(z)
             o = rp2_oracle(1j, z, lam)
             phase = np.vdot(o.lift, s.lift)
             phase /= abs(phase)
@@ -348,8 +360,8 @@ def test_associated_family_reparametrization():
     for spec in (CL, radial_monomial_spec(0, 0, 1.0, b_n=2.0)):
         for lam in (1j, np.exp(1j * np.pi / 7)):
             for z in (0.8, 0.6 - 0.9j):
-                s_lam = surface_sample(spec, z, lam)
-                s_one = surface_sample(spec, z / lam, 1.0)
+                s_lam = PipelineSurface(spec, lam).samples(z)
+                s_one = PipelineSurface(spec, 1.0).samples(z / lam)
                 assert fubini_study_distance(s_lam.lift[0], s_one.lift[0]) < 1e-7
 
 
@@ -378,7 +390,7 @@ def test_constant_degree_one_same_surface_as_clifford():
     d = LoopMatrix.from_coeffs({-1: A, 1: su3.tau(A)}, twisted=True)
     spec_d = constant_degree_one_spec(d)
     for z in (0.6, 0.4 - 0.7j):
-        s_d = surface_sample(spec_d, z, 1.0)
+        s_d = PipelineSurface(spec_d, 1.0).samples(z)
         s_o = clifford_oracle(z, 1.0)
         assert np.max(np.abs(s_d.lift - s_o.lift)) < 1e-9
         assert abs(s_d.u) < 1e-9
@@ -416,4 +428,4 @@ def test_frame_maurer_cartan_structure():
 
 def test_lambda0_validation():
     with pytest.raises(ValueError):
-        surface_sample(CL, 0.3, 1.2)
+        PipelineSurface(CL, 1.2).samples(0.3)

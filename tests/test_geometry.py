@@ -198,6 +198,20 @@ def test_fubini_study_distance_is_accurate_at_both_ends(u, v, phi, seed):
         assert abs(d - math.acos(min(c, 1.0))) <= 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(_VECTOR, _VECTOR), min_size=1, max_size=12), st.booleans())
+def test_fubini_study_distance_over_leading_axes_is_per_pair(pairs, split):
+    # over arrays of shape S + (3,) the distance is each pair's, with shape S
+    assume(all(np.linalg.norm(u) > 1e-3 and np.linalg.norm(v) > 1e-3 for u, v in pairs))
+    shape = (2, -1, 1) if split and len(pairs) % 2 == 0 else (-1,)
+    u = np.array([p[0] for p in pairs]).reshape(shape + (3,))
+    v = np.array([p[1] for p in pairs]).reshape(shape + (3,))
+    d = fubini_study_distance(u, v)
+    assert d.shape == u.shape[:-1]
+    each = [fubini_study_distance(a, b) for a, b in pairs]
+    assert np.max(np.abs(d.ravel() - each)) <= 4e-16
+
+
 def test_hopf_coefficient_carries_family_factor():
     # f_zz . conj(f_zbar) at lambda0 equals -i lambda0^{-3} psi; the helper
     # divides the factor out, so Clifford gives -1 at every lambda0

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import bundled_spec, random_realform_degree_one
+
 from lagdpw import su3
 from lagdpw.errors import NotVacuum, PoleAtOrigin, SchemaError
 from lagdpw.loops import algebra_twist_residual
@@ -43,6 +45,22 @@ def test_wu_linear_psi():
     assert spec.a(z) == pytest.approx(1.0)
     assert spec.coefficient_matrix(z)[1, 0] == pytest.approx(1j * z)
     assert spec.b(z) == pytest.approx(z)
+
+
+@pytest.mark.parametrize("name", ("clifford", "radial_ab", "radial_k1", "rotational_m4", "rp2",
+                                  "constant_degree_one"))
+def test_slots_on_an_array_are_the_per_point_values(name, rng):
+    # a, b and psi at an array of z are shaped like it and within 2 ulps of scalar calls
+    if name == "constant_degree_one":
+        spec = constant_degree_one_spec(random_realform_degree_one(rng))
+    else:
+        spec = bundled_spec(name)[0]
+    z = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))) * 0.8
+    for slot in (spec.a, spec.b, spec.psi):
+        values = slot(z)
+        assert values.shape == z.shape
+        each = np.array([slot(complex(w)) for w in z.ravel()]).reshape(z.shape)
+        assert np.all(np.abs(values - each) <= 2 * np.spacing(np.abs(each))), slot.__name__
 
 
 def test_callable_slots_rejected_at_construction():
