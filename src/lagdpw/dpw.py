@@ -31,7 +31,7 @@ import numpy as np
 from . import su3
 from .errors import PoleOnPath, SchemaError, TruncationOverflow
 from .factorization import IwasawaFactors, iwasawa
-from .loops import LoopMatrix, loop_exp, loop_scale
+from .loops import LoopMatrix, loop_exp, loop_scale, stack_values
 from .potentials import Poly, PotentialSpec, is_finite_number
 
 DEFAULT_TRUNC = 16
@@ -179,10 +179,7 @@ def _circle(lambdas) -> tuple:
 
 def frame_values(frames: np.ndarray, lams) -> np.ndarray:
     """F(lambda) at each of lams, S + (L, 3, 3), from frames of shape S + (2 trunc + 1, 3, 3)."""
-    trunc = (frames.shape[-3] - 1) // 2
-    powers = np.asarray(lams)[:, None] ** np.arange(-trunc, trunc + 1)
-    # unoptimized einsum sums each value in one order for any batch and any len(lams)
-    return np.einsum("ld,...dij->...lij", powers, frames)
+    return stack_values(frames, -((frames.shape[-3] - 1) // 2), lams)
 
 
 def sample_from_frame(spec: PotentialSpec, fps, lambdas,
@@ -197,7 +194,7 @@ def sample_from_frame(spec: PotentialSpec, fps, lambdas,
     with np.errstate(divide="ignore"):
         u = np.where(singular, -np.inf, 2.0 * np.log(half))
     frames = np.array([fp.frame.coeffs for fp in fps], dtype=complex).reshape(
-        -1, 2 * trunc + 1, 3, 3)
+        len(fps), 2 * trunc + 1, 3, 3)
     return SurfaceSamples(z, frame_values(frames, lams) @ E3, u, spec.psi(z), v0, lams, singular,
                           np.array([fp.residual for fp in fps], dtype=float),
                           np.array([fp.tail for fp in fps], dtype=float), frames)

@@ -108,10 +108,8 @@ class LoopMatrix:
         return self.evaluate_many(np.array([lam]))[0]
 
     def evaluate_many(self, lams: np.ndarray) -> np.ndarray:
-        """g(lam) at each of lams, (n, 3, 3): the power table lam^d contracted with G_d."""
-        powers = np.asarray(lams)[:, None] ** np.arange(self.min_degree, self.max_degree + 1)
-        # unoptimized einsum sums each value in one order for any len(lams)
-        return np.einsum("ld,dij->lij", powers, self.coeffs)
+        """g(lam) at each of lams, (n, 3, 3)."""
+        return stack_values(self.coeffs, self.min_degree, lams)
 
     def wiener_norm(self) -> float:
         """Sum over degrees of the entrywise max norm of each coefficient."""
@@ -128,6 +126,14 @@ class LoopMatrix:
         """Pointwise Hermitian adjoint on S^1: (g*)_d = conj(G_{-d})^t."""
         c = np.conj(np.transpose(self.coeffs[::-1], (0, 2, 1)))
         return LoopMatrix(c, -self.max_degree, self.twisted)
+
+
+def stack_values(coeffs: np.ndarray, min_degree: int, lams) -> np.ndarray:
+    """sum_d lam^d C_d at each of lams, S + (L, 3, 3), for coefficient stacks C of shape
+    S + (n, 3, 3) on degrees min_degree..min_degree + n - 1."""
+    powers = np.asarray(lams)[:, None] ** np.arange(min_degree, min_degree + coeffs.shape[-3])
+    # unoptimized einsum sums each value in one order for any batch and any len(lams)
+    return np.einsum("ld,...dij->...lij", powers, coeffs)
 
 
 def _cauchy(a: np.ndarray, a_lo: int, b: np.ndarray, b_lo: int,

@@ -263,8 +263,16 @@ def test_oracle_at_a_scalar_point_has_scalar_fields():
 
 
 def test_grid_sample_empty():
-    samples, failures = grid_sample(CL, [], [1.0])
+    samples, failures = grid_sample(CL, [], [1.0], trunc=8)
     assert samples.z.shape == (0,) and samples.lift.shape == (0, 1, 3) and failures == []
+    assert samples.frames.shape == (0, 17, 3, 3)
+
+
+def test_sample_from_frame_refuses_frames_of_another_trunc():
+    # 33 frames on -8..8 hold as many coefficients as 17 frames on -16..16
+    fps = [frame_point(CL, 0.3, 8)] * 33
+    with pytest.raises(ValueError):
+        sample_from_frame(CL, fps, 1.0, trunc=16)
 
 
 def test_grid_sample_collects_failures():
